@@ -448,19 +448,57 @@ impl DepthProfile {
 
 /// Probes a filter's eval depth for every `nr` in `0..=max_nr`. Returns
 /// `None` if any evaluation is malformed (which the generators never
-/// produce).
+/// produce), or if `max_nr` is `u32::MAX`, whose `2^32` probes do not fit
+/// [`DepthProfile::evals`].
 pub fn depth_profile(program: &BpfProgram, max_nr: u32) -> Option<DepthProfile> {
+    probe_filter(program, max_nr, None).map(|probe| probe.profile)
+}
+
+/// What one pass of a filter over `0..=max_nr` found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FilterProbe {
+    /// Executed-instruction statistics over the pass.
+    pub(crate) profile: DepthProfile,
+    /// The lowest `nr` whose verdict disagrees with the allow-set (allowed
+    /// exactly when the filter returns [`RET_ALLOW`]); `None` when every
+    /// verdict agrees or no allow-set was given.
+    pub(crate) first_mismatch: Option<u32>,
+}
+
+/// Runs `program` through [`run_filter_traced`] once for every `nr` in
+/// `0..=max_nr`: each step count feeds the depth profile and, given the
+/// sorted allow-set, each verdict is checked against it. Returns `None`
+/// if any evaluation is malformed, or, before evaluating anything, if
+/// `max_nr + 1` probes do not fit [`DepthProfile::evals`].
+pub(crate) fn probe_filter(
+    program: &BpfProgram,
+    max_nr: u32,
+    allow: Option<&[u32]>,
+) -> Option<FilterProbe> {
+    let evals = max_nr.checked_add(1)?;
     let mut max = 0u32;
     let mut total = 0u64;
+    let mut first_mismatch = None;
+    // `allow[next]` is the smallest allowed number not below `nr`.
+    let mut next = 0usize;
     for nr in 0..=max_nr {
-        let (_, steps) = run_filter_traced(
+        let (verdict, steps) = run_filter_traced(
             program,
             SeccompData { nr, arch: AUDIT_ARCH_X86_64 },
         )?;
         max = max.max(steps);
         total += u64::from(steps);
+        if let (Some(allow), None) = (allow, first_mismatch) {
+            while allow.get(next).is_some_and(|&a| a < nr) {
+                next += 1;
+            }
+            if (verdict == RET_ALLOW) != (allow.get(next) == Some(&nr)) {
+                first_mismatch = Some(nr);
+            }
+        }
     }
-    Some(DepthProfile { max, total, evals: max_nr + 1 })
+    let profile = DepthProfile { max, total, evals };
+    Some(FilterProbe { profile, first_mismatch })
 }
 
 /// The allow-list cannot be laid out as a legal classic-BPF program.
@@ -538,6 +576,7 @@ pub fn seccomp_filter(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn allowed(program: &BpfProgram, nr: u32) -> bool {
         run_filter(program, SeccompData { nr, arch: AUDIT_ARCH_X86_64 })
@@ -694,6 +733,123 @@ mod tests {
                 let steps = traced.expect("well-formed").1;
                 assert!(steps >= 1 && steps as usize <= p.len());
             }
+        }
+    }
+
+    /// The two passes the probe folds into one: a depth sweep over
+    /// `run_filter_traced`, then a `run_filter` scan that looks each nr
+    /// up in the allow-set.
+    fn two_pass(
+        program: &BpfProgram,
+        max_nr: u32,
+        allow: &[u32],
+    ) -> Option<(DepthProfile, Option<u32>)> {
+        let mut max = 0u32;
+        let mut total = 0u64;
+        for nr in 0..=max_nr {
+            let (_, steps) = run_filter_traced(
+                program,
+                SeccompData { nr, arch: AUDIT_ARCH_X86_64 },
+            )?;
+            max = max.max(steps);
+            total += u64::from(steps);
+        }
+        let mismatch = (0..=max_nr).find(|&nr| {
+            allowed(program, nr) != allow.binary_search(&nr).is_ok()
+        });
+        Some((DepthProfile { max, total, evals: max_nr + 1 }, mismatch))
+    }
+
+    /// Changes one field of one instruction: `kind` 1 an opcode, 2 an
+    /// `ld` offset, 3 a jump offset. `at` picks the instruction among
+    /// those the kind applies to, `value` the new field. Kind 0 leaves
+    /// the program alone.
+    fn mutate(program: &mut BpfProgram, kind: u32, at: u32, value: u32) {
+        const OPCODES: [u16; 7] =
+            [LD_W_ABS, JMP_JA, JMP_JEQ_K, JMP_JGE_K, JMP_JGT_K, RET_K, 0x07];
+        let applies = |insn: &BpfInsn| match kind {
+            1 => true,
+            2 => insn.code == LD_W_ABS,
+            3 => matches!(
+                insn.code,
+                JMP_JA | JMP_JEQ_K | JMP_JGE_K | JMP_JGT_K
+            ),
+            _ => false,
+        };
+        let sites: Vec<usize> = (0..program.len())
+            .filter(|&i| applies(&program.insns[i]))
+            .collect();
+        if sites.is_empty() {
+            return;
+        }
+        let insn = &mut program.insns[sites[at as usize % sites.len()]];
+        // Mostly short hops, which keep the program in bounds but send
+        // it down the wrong branch; sometimes far ones off its end.
+        let offset = if value & 2 == 0 { (value >> 2) % 4 } else { value >> 2 };
+        match kind {
+            1 => insn.code = OPCODES[value as usize % OPCODES.len()],
+            2 => insn.k = [OFF_NR, OFF_ARCH, 8, value][value as usize % 4],
+            _ if insn.code == JMP_JA => insn.k = offset,
+            _ if value & 1 == 0 => insn.jt = offset as u8,
+            _ => insn.jf = offset as u8,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn probe_matches_the_two_pass_reference(
+            runs in proptest::collection::vec((0u32..4200, 0u32..48), 0..24),
+            singles in proptest::collection::btree_set(0u32..4200, 0..400),
+            max_nr in 0u32..4300,
+            mutation in (0u32..4, any::<u32>(), any::<u32>()),
+        ) {
+            // Runs coalesce into ranges; up to 400 singletons fragment the
+            // set past what the linear chain's 8-bit offsets can assemble.
+            let mut allow = singles;
+            for (lo, len) in runs {
+                allow.extend(lo..lo + len);
+            }
+            let allow: Vec<u32> = allow.into_iter().collect();
+            let programs = [
+                BpfProgram::try_allow_tree(&allow).ok(),
+                BpfProgram::try_allow_list(&allow).ok(),
+            ];
+            for mut program in programs.into_iter().flatten() {
+                let (kind, at, value) = mutation;
+                mutate(&mut program, kind, at, value);
+                let want = two_pass(&program, max_nr, &allow);
+                let probe = probe_filter(&program, max_nr, Some(&allow));
+                prop_assert_eq!(
+                    probe.map(|p| (p.profile, p.first_mismatch)),
+                    want,
+                    "mutation {:?}", mutation
+                );
+                let profile = want.map(|(profile, _)| profile);
+                prop_assert_eq!(
+                    probe_filter(&program, max_nr, None),
+                    profile.map(|profile| FilterProbe {
+                        profile,
+                        first_mismatch: None
+                    })
+                );
+                prop_assert_eq!(depth_profile(&program, max_nr), profile);
+            }
+        }
+    }
+
+    #[test]
+    fn probe_refuses_a_ceiling_whose_eval_count_overflows() {
+        // `u32::MAX + 1` evaluations do not fit `DepthProfile::evals`; the
+        // refusal comes before any of the 2^32 interpretations.
+        let allow = [0, 1, 2, 59];
+        for p in both(&allow) {
+            assert_eq!(probe_filter(&p, u32::MAX, None), None);
+            assert_eq!(probe_filter(&p, u32::MAX, Some(&allow)), None);
+            assert_eq!(depth_profile(&p, u32::MAX), None);
+            let one = probe_filter(&p, 0, Some(&allow)).expect("well-formed");
+            assert_eq!(one.profile.evals, 1);
+            assert_eq!(one.first_mismatch, None);
         }
     }
 

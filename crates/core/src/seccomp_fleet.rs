@@ -17,12 +17,12 @@
 //!   measured: the instructions a prefix-sharing filter bank would store
 //!   once instead of per filter (every program shares at least the
 //!   4-instruction arch prologue).
-//! - **Eval-depth accounting** — each unique filter is probed through
-//!   the in-crate interpreter for every syscall number in
-//!   `0..=probe_max_nr`, for both the production tree layout and the
-//!   legacy linear chain, giving exact max/avg executed-instruction
-//!   depths (and, with [`FleetOptions::verify`], bit-verified
-//!   equivalence against the reference allow-set).
+//! - **Eval-depth accounting** — each unique filter is interpreted
+//!   once for every syscall number in `0..=probe_max_nr`, for both the
+//!   production tree layout and the legacy linear chain. That one pass
+//!   per layout gives exact max/avg executed-instruction depths and,
+//!   with [`FleetOptions::verify`], bit-verified equivalence against the
+//!   reference allow-set.
 //! - **Crash-safe resume** — the expensive measurements are journaled
 //!   per unique allow-set ([`JournalRecord::FleetFilter`]); a resumed
 //!   run replays them (cross-checked against the rebuilt programs) and
@@ -43,8 +43,7 @@ use crate::journal::{
 };
 use crate::pipeline::{par_map_indexed, StudyData};
 use crate::seccomp_bpf::{
-    coalesce, depth_profile, run_filter, BpfProgram, FilterTooLarge,
-    SeccompData, AUDIT_ARCH_X86_64, RET_ALLOW,
+    coalesce, probe_filter, BpfProgram, DepthProfile, FilterTooLarge,
 };
 
 /// Knobs of a fleet synthesis run. Folded into the journal fingerprint:
@@ -54,7 +53,9 @@ use crate::seccomp_bpf::{
 pub struct FleetOptions {
     /// Highest syscall number every filter is probed (and verified)
     /// against: depth profiles and equivalence checks cover every `nr`
-    /// in `0..=probe_max_nr`.
+    /// in `0..=probe_max_nr`. `u32::MAX` is refused
+    /// ([`FleetError::ProbeRange`]): its `2^32` probes per filter do not
+    /// fit the `u32` probe count.
     pub probe_max_nr: u32,
     /// Interpreter-verify that tree and linear layouts agree with the
     /// reference allow-set at every probed number.
@@ -250,6 +251,13 @@ pub enum FleetError {
     },
     /// A synthesis work item panicked deterministically.
     Synthesis(String),
+    /// [`FleetOptions::probe_max_nr`] is `u32::MAX`: `probe_max_nr + 1`
+    /// probes per filter do not fit the `u32` probe count. Refused before
+    /// any work.
+    ProbeRange {
+        /// The refused ceiling.
+        probe_max_nr: u32,
+    },
 }
 
 impl std::fmt::Display for FleetError {
@@ -267,6 +275,12 @@ impl std::fmt::Display for FleetError {
             FleetError::Synthesis(why) => {
                 write!(f, "fleet synthesis failed: {why}")
             }
+            FleetError::ProbeRange { probe_max_nr } => write!(
+                f,
+                "probe_max_nr {probe_max_nr} needs more than u32::MAX \
+                 probes per filter; the ceiling is {}",
+                u32::MAX - 1
+            ),
         }
     }
 }
@@ -277,6 +291,48 @@ impl From<JournalError> for FleetError {
     fn from(e: JournalError) -> Self {
         FleetError::Journal(e)
     }
+}
+
+/// Probes per filter (`probe_max_nr + 1`), or the classified refusal of
+/// a ceiling whose probe count does not fit `u32`.
+fn probe_evals(opts: FleetOptions) -> Result<u32, FleetError> {
+    opts.probe_max_nr.checked_add(1).ok_or(FleetError::ProbeRange {
+        probe_max_nr: opts.probe_max_nr,
+    })
+}
+
+/// Interprets each layout once for every probed nr: one pass per program
+/// gives its depth profile and, with [`FleetOptions::verify`], its first
+/// verdict that disagrees with the allow-set `numbers`. Errors keep a
+/// fixed order: a malformed tree, then a malformed linear chain, then a
+/// [`FleetError::Verification`] at the lowest disagreeing nr across both
+/// layouts.
+fn probe_layouts(
+    tree: &BpfProgram,
+    linear: Option<&BpfProgram>,
+    numbers: &[u32],
+    allow_hash: u64,
+    opts: FleetOptions,
+) -> Result<(DepthProfile, Option<DepthProfile>), FleetError> {
+    let allow = opts.verify.then_some(numbers);
+    let probe = |program: &BpfProgram, layout: &str| {
+        probe_filter(program, opts.probe_max_nr, allow).ok_or_else(|| {
+            FleetError::Synthesis(format!(
+                "{layout} filter {allow_hash:#018x} is malformed"
+            ))
+        })
+    };
+    let tp = probe(tree, "tree")?;
+    let lp = linear.map(|p| probe(p, "linear")).transpose()?;
+    let mismatch = tp
+        .first_mismatch
+        .into_iter()
+        .chain(lp.and_then(|p| p.first_mismatch))
+        .min();
+    if let Some(nr) = mismatch {
+        return Err(FleetError::Verification { allow_hash, nr });
+    }
+    Ok((tp.profile, lp.map(|p| p.profile)))
 }
 
 /// Replayed measurements for one allow-set, decoded from the journal.
@@ -319,6 +375,8 @@ pub fn synthesize_fleet_journaled(
     journal_path: &Path,
     resume: bool,
 ) -> Result<FleetReport, FleetError> {
+    // Refused before the journal is created or resumed.
+    probe_evals(opts)?;
     let fp = RunFingerprint {
         kind: RunKind::SeccompFleet,
         corpus: corpus_fingerprint(repo),
@@ -375,6 +433,7 @@ fn synthesize_inner(
     mut journal: Option<Journal>,
     replayed: &HashMap<u64, ReplayedFilter>,
 ) -> Result<FleetReport, FleetError> {
+    let probe_evals = probe_evals(opts)?;
     let n = data.packages.len();
 
     // Stage 1: every package's allow-set, in parallel. The work is a
@@ -421,9 +480,8 @@ fn synthesize_inner(
 
     // Stage 3: build + measure each unique set in parallel. Programs are
     // always rebuilt (cheap, and lets a resume cross-check the journal);
-    // the exhaustive depth probes and the equivalence verification —
-    // the expensive part — are skipped for replayed sets.
-    let probe_evals = opts.probe_max_nr + 1;
+    // the exhaustive probe pass over both layouts — the expensive part —
+    // is skipped for replayed sets.
     let (measured, _) = par_map_indexed(
         sets.len(),
         None,
@@ -477,44 +535,13 @@ fn synthesize_inner(
                     ..base
                 }
             } else {
-                let tp = depth_profile(&tree, opts.probe_max_nr)
-                    .ok_or_else(|| {
-                        FleetError::Synthesis(format!(
-                            "tree filter {hash:#018x} is malformed"
-                        ))
-                    })?;
-                let lp = match &linear {
-                    Some(p) => Some(
-                        depth_profile(p, opts.probe_max_nr).ok_or_else(
-                            || {
-                                FleetError::Synthesis(format!(
-                                    "linear filter {hash:#018x} is malformed"
-                                ))
-                            },
-                        )?,
-                    ),
-                    None => None,
-                };
-                if opts.verify {
-                    for nr in 0..=opts.probe_max_nr {
-                        let want = numbers.binary_search(&nr).is_ok();
-                        let eval = |p: &BpfProgram| {
-                            run_filter(
-                                p,
-                                SeccompData { nr, arch: AUDIT_ARCH_X86_64 },
-                            ) == Some(RET_ALLOW)
-                        };
-                        let tree_ok = eval(&tree) == want;
-                        let linear_ok =
-                            linear.as_ref().is_none_or(|p| eval(p) == want);
-                        if !tree_ok || !linear_ok {
-                            return Err(FleetError::Verification {
-                                allow_hash: *hash,
-                                nr,
-                            });
-                        }
-                    }
-                }
+                let (tp, lp) = probe_layouts(
+                    &tree,
+                    linear.as_ref(),
+                    numbers,
+                    *hash,
+                    opts,
+                )?;
                 UniqueFilterStats {
                     tree_max_depth: tp.max,
                     tree_depth_total: tp.total,
@@ -640,6 +667,10 @@ pub fn fleet_table(report: &FleetReport, top: usize) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seccomp_bpf::{
+        depth_profile, run_filter, SeccompData, AUDIT_ARCH_X86_64, RET_ALLOW,
+        RET_KILL,
+    };
     use apistudy_corpus::{CalibrationSpec, Scale};
 
     fn small_study() -> (SynthRepo, StudyData) {
@@ -830,6 +861,160 @@ mod tests {
             "{sharing} of {} share the prologue",
             report.unique.len()
         );
+    }
+
+    /// The report rebuilt from the public two-pass primitives: per unique
+    /// allow-set, `depth_profile` for each layout and, with `verify`, a
+    /// `run_filter` check of every probed nr against the set.
+    fn two_pass_report(data: &StudyData, opts: FleetOptions) -> FleetReport {
+        let mut by_hash: HashMap<u64, u32> = HashMap::new();
+        let mut unique: Vec<UniqueFilterStats> = Vec::new();
+        let mut bank: Vec<Vec<u8>> = Vec::new();
+        let mut package_unique = Vec::new();
+        for package in &data.packages {
+            let numbers: Vec<u32> = package.footprint.syscalls().collect();
+            let allow_hash = allow_set_hash(&numbers);
+            let u = *by_hash.entry(allow_hash).or_insert_with(|| {
+                let tree = BpfProgram::try_allow_tree(&numbers).expect("tree");
+                let linear = BpfProgram::try_allow_list(&numbers).ok();
+                let tp = depth_profile(&tree, opts.probe_max_nr)
+                    .expect("well-formed tree");
+                let lp = linear.as_ref().map(|p| {
+                    depth_profile(p, opts.probe_max_nr)
+                        .expect("well-formed chain")
+                });
+                if opts.verify {
+                    for nr in 0..=opts.probe_max_nr {
+                        let want = numbers.binary_search(&nr).is_ok();
+                        let data = SeccompData { nr, arch: AUDIT_ARCH_X86_64 };
+                        for p in std::iter::once(&tree).chain(&linear) {
+                            let allowed = run_filter(p, data) == Some(RET_ALLOW);
+                            assert_eq!(allowed, want, "nr {nr}");
+                        }
+                    }
+                }
+                unique.push(UniqueFilterStats {
+                    allow_hash,
+                    syscalls: numbers.len() as u32,
+                    ranges: coalesce(&numbers).len() as u32,
+                    packages: 0,
+                    mass: 0.0,
+                    tree_len: tree.len() as u32,
+                    linear_len: linear.as_ref().map(|p| p.len() as u32),
+                    tree_max_depth: tp.max,
+                    tree_depth_total: tp.total,
+                    linear_max_depth: lp.map_or(0, |p| p.max),
+                    linear_depth_total: lp.map_or(0, |p| p.total),
+                    prefix_shared_insns: 0,
+                    probe_evals: tp.evals,
+                    replayed: false,
+                });
+                bank.push(tree.to_bytes());
+                (unique.len() - 1) as u32
+            });
+            unique[u as usize].packages += 1;
+            unique[u as usize].mass += package.prob;
+            package_unique.push(u);
+        }
+        let mut order: Vec<usize> = (0..bank.len()).collect();
+        order.sort_by(|&a, &b| bank[a].cmp(&bank[b]));
+        for w in order.windows(2) {
+            let (a, b) = (&bank[w[0]], &bank[w[1]]);
+            let bytes = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+            unique[w[1]].prefix_shared_insns = (bytes / 8) as u32;
+        }
+        FleetReport {
+            packages: data.packages.len() as u32,
+            package_unique,
+            unique,
+            catalog_syscalls: data.catalog.syscalls.len() as u32,
+            probe_max_nr: opts.probe_max_nr,
+            verified: opts.verify,
+            journal: None,
+        }
+    }
+
+    #[test]
+    fn report_equals_the_two_pass_reference() {
+        let (_, data) = small_study();
+        for verify in [true, false] {
+            let opts = FleetOptions { verify, ..small_opts() };
+            let report = synthesize_fleet(&data, opts).expect("fleet");
+            assert_eq!(report, two_pass_report(&data, opts), "verify {verify}");
+        }
+    }
+
+    #[test]
+    fn probe_ceiling_without_a_u32_probe_count_is_refused_before_any_work() {
+        let (repo, data) = small_study();
+        let opts = FleetOptions { probe_max_nr: u32::MAX, verify: true };
+        let refused = |r: Result<FleetReport, FleetError>| {
+            matches!(
+                r,
+                Err(FleetError::ProbeRange { probe_max_nr: u32::MAX })
+            )
+        };
+        assert!(refused(synthesize_fleet(&data, opts)));
+        let path = std::env::temp_dir().join(format!(
+            "apistudy-fleet-range-{}.apsj",
+            std::process::id()
+        ));
+        std::fs::remove_file(&path).ok();
+        for resume in [false, true] {
+            assert!(refused(synthesize_fleet_journaled(
+                &data, &repo, opts, &path, resume
+            )));
+            assert!(!path.exists(), "no journal is created");
+        }
+        // The highest ceiling that fits still gets past validation.
+        assert_eq!(
+            probe_evals(FleetOptions { probe_max_nr: u32::MAX - 1, ..opts })
+                .ok(),
+            Some(u32::MAX)
+        );
+    }
+
+    #[test]
+    fn layout_errors_come_tree_then_linear_then_lowest_mismatch() {
+        let numbers = [0, 1, 2, 9, 14, 59, 60, 231];
+        let opts = FleetOptions { probe_max_nr: 300, verify: true };
+        let tree = BpfProgram::allow_tree(&numbers);
+        let linear = BpfProgram::allow_list(&numbers);
+        let probe = |t: &BpfProgram, l: &BpfProgram, opts| {
+            probe_layouts(t, Some(l), &numbers, 7, opts)
+        };
+        let (tp, lp) = probe(&tree, &linear, opts).expect("both exact");
+        assert_eq!(lp.map(|p| p.evals), Some(tp.evals));
+        // The tree's singleton leaf for 231 (after the `jge 231` pivot)
+        // tests 232 instead: it now disagrees first at 231. The chain's
+        // shared ALLOW becomes KILL: it disagrees first at 0.
+        let mut wrong_tree = tree.clone();
+        let leaf =
+            wrong_tree.insns.iter_mut().rev().find(|i| i.k == 231).unwrap();
+        leaf.k = 232;
+        let mut wrong_linear = linear.clone();
+        wrong_linear.insns.last_mut().unwrap().k = RET_KILL;
+        let mut bad_tree = tree.clone();
+        bad_tree.insns[0].code = 0x07;
+        let mut bad_linear = linear.clone();
+        bad_linear.insns[0].code = 0x07;
+        let malformed = |r: Result<_, FleetError>, layout: &str| {
+            matches!(r, Err(FleetError::Synthesis(m)) if m.starts_with(layout))
+        };
+        let at = |r: Result<_, FleetError>| match r {
+            Err(FleetError::Verification { allow_hash: 7, nr }) => Some(nr),
+            _ => None,
+        };
+        assert_eq!(at(probe(&wrong_tree, &linear, opts)), Some(231));
+        assert_eq!(at(probe(&tree, &wrong_linear, opts)), Some(0));
+        assert_eq!(at(probe(&wrong_tree, &wrong_linear, opts)), Some(0));
+        assert!(malformed(probe(&bad_tree, &bad_linear, opts), "tree"));
+        assert!(malformed(probe(&wrong_tree, &bad_linear, opts), "linear"));
+        assert!(malformed(probe(&bad_tree, &wrong_linear, opts), "tree"));
+        // Without verify a wrong program is only measured.
+        let unverified = FleetOptions { verify: false, ..opts };
+        assert!(probe(&wrong_tree, &wrong_linear, unverified).is_ok());
+        assert!(malformed(probe(&tree, &bad_linear, unverified), "linear"));
     }
 
     #[test]

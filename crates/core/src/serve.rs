@@ -565,6 +565,8 @@ const WBUF_COMPACT: usize = 64 * 1024;
 /// the one-job-in-flight rule, so the cap only bounds job granularity).
 const JOB_CAP: usize = 32;
 const EVENTS_CAP: usize = 256;
+/// How soon a reactor whose listener re-registration failed tries again.
+const RESUME_RETRY: Duration = Duration::from_millis(10);
 
 /// Which budget a connection's (single, absolute) deadline enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -740,6 +742,7 @@ fn reactor_run(
     loop {
         // Fd-exhaustion recovery: a closed connection released a
         // descriptor, so re-register the listener and refill the spare.
+        let mut resume_failed = false;
         if let Some(at) = paused_at {
             if accepting && (at == 0 || conns.len() < at) {
                 reserve.refill();
@@ -748,6 +751,8 @@ fn reactor_run(
                     .is_ok()
                 {
                     paused_at = None;
+                } else {
+                    resume_failed = true;
                 }
             }
         }
@@ -813,6 +818,12 @@ fn reactor_run(
         // lost wakeup here would otherwise strand it forever.
         if !lock_or_inner(&shared.done).is_empty() {
             timeout = Some(Duration::ZERO);
+        }
+        // A failed listener re-registration leaves no event to wake on:
+        // with no connection left, nothing would retry it.
+        if resume_failed {
+            timeout =
+                Some(timeout.map_or(RESUME_RETRY, |t| t.min(RESUME_RETRY)));
         }
         let batch = ep.wait(&mut events, timeout)?;
         ready.clear();

@@ -265,6 +265,60 @@ fn periodic_errno_chaos_keeps_replies_bit_identical_or_classified() {
     server.wait();
 }
 
+/// Fd exhaustion pauses accepting; resuming re-adds the listener to
+/// epoll. When that `epoll_ctl(ADD)` fails too, no event will wake the
+/// idle reactor, so it must retry on its own: the next client is still
+/// served instead of waiting in the listen backlog forever.
+#[test]
+fn accepting_resumes_after_a_failed_listener_reregistration() {
+    let _g = gate();
+    sysfault::clear();
+    let server = Server::start(small_study(), None, serve_opts())
+        .expect("server start");
+    let addr = server.addr();
+    // A fault-free round trip first: the reactor has registered the
+    // listener before anything is armed.
+    let mut warm = Client::connect(addr, policy(), Duration::from_secs(2))
+        .expect("connect");
+    assert!(matches!(warm.call(&Request::Ping), Ok(Response::Pong { .. })));
+    drop(warm);
+    // The next accept hits fd exhaustion, which pauses accepting; the
+    // next listener registration is the resume, and it fails.
+    sysfault::install(
+        SysFaultPlan::default()
+            .at_site("accept4", SysFaultKind::Emfile, 1)
+            .at_site("epoll_ctl(ADD)", SysFaultKind::Enomem, 1),
+    );
+    let mut turned_away =
+        Client::connect(addr, policy(), Duration::from_secs(2))
+            .expect("connect");
+    // Told Busy, or reset before the Busy frame is read: classified.
+    if let Ok(reply) = turned_away.call(&Request::Ping) {
+        assert!(
+            matches!(reply, Response::Err { .. }),
+            "the exhausted accept must turn the client away: {reply:?}"
+        );
+    }
+    let mut next = Client::connect(addr, policy(), Duration::from_secs(2))
+        .expect("connect");
+    assert!(
+        matches!(next.call(&Request::Ping), Ok(Response::Pong { .. })),
+        "accepting never resumed"
+    );
+    let ledger = sysfault::clear();
+    let fired: Vec<(&str, SysFaultKind)> =
+        ledger.iter().map(|r| (r.site, r.kind)).collect();
+    assert_eq!(
+        fired,
+        [
+            ("accept4", SysFaultKind::Emfile),
+            ("epoll_ctl(ADD)", SysFaultKind::Enomem)
+        ]
+    );
+    server.shutdown();
+    server.wait();
+}
+
 fn fp() -> RunFingerprint {
     RunFingerprint {
         kind: RunKind::CorruptionSweep,
