@@ -22,6 +22,7 @@
 
 use std::time::{Duration, Instant};
 
+use apistudy_bench::record;
 use apistudy_core::sysfault::{self, SysFaultKind, SysFaultPlan};
 use apistudy_core::{
     Client, Journal, JournalError, JournalRecord, Request, Response,
@@ -327,36 +328,6 @@ fn storage_matrix() -> u64 {
         2 * kinds.len() * SEEDS.len()
     );
     injected_total
-}
-
-fn record(results: &[(&str, u128)]) -> std::io::Result<()> {
-    let path = "BENCH_pipeline.json";
-    let text = std::fs::read_to_string(path)?;
-    let mut out = String::new();
-    let mut pending: Vec<(&str, u128)> = results
-        .iter()
-        .filter(|(k, _)| !text.contains(&format!("\"{k}\"")))
-        .copied()
-        .collect();
-    for line in text.lines() {
-        let trimmed = line.trim();
-        if let Some((key, value)) = results
-            .iter()
-            .find(|(k, _)| trimmed.starts_with(&format!("\"{k}\":")))
-        {
-            let comma = if trimmed.ends_with(',') { "," } else { "" };
-            out.push_str(&format!("    \"{key}\": {value}{comma}\n"));
-            continue;
-        }
-        out.push_str(line);
-        out.push('\n');
-        if trimmed.starts_with("\"results_ns\"") && !pending.is_empty() {
-            for (key, value) in pending.drain(..) {
-                out.push_str(&format!("    \"{key}\": {value},\n"));
-            }
-        }
-    }
-    std::fs::write(path, out)
 }
 
 fn main() {

@@ -23,6 +23,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use apistudy_analysis::AnalysisOptions;
+use apistudy_bench::record;
 use apistudy_core::{
     cache::{AnalysisCache, CacheMode},
     corruption_sweep_journaled, corruption_sweep_with, DegradationPoint,
@@ -100,39 +101,6 @@ fn reset_dir_from(src: &Path, dst: &Path) {
         std::fs::copy(entry.path(), dst.join(entry.file_name()))
             .expect("copy shard file");
     }
-}
-
-/// Updates (or inserts) keys in BENCH_pipeline.json's `results_ns` map
-/// without disturbing the rest of the hand-maintained file.
-fn record(results: &[(&str, u128)]) -> std::io::Result<()> {
-    let path = "BENCH_pipeline.json";
-    let text = std::fs::read_to_string(path)?;
-    let mut out = String::new();
-    let mut pending: Vec<(&str, u128)> = results
-        .iter()
-        .filter(|(k, _)| !text.contains(&format!("\"{k}\"")))
-        .copied()
-        .collect();
-    for line in text.lines() {
-        let trimmed = line.trim();
-        if let Some((key, value)) = results
-            .iter()
-            .find(|(k, _)| trimmed.starts_with(&format!("\"{k}\":")))
-        {
-            let comma = if trimmed.ends_with(',') { "," } else { "" };
-            out.push_str(&format!("    \"{key}\": {value}{comma}\n"));
-            continue;
-        }
-        // New keys slot in right after the map opens.
-        out.push_str(line);
-        out.push('\n');
-        if trimmed.starts_with("\"results_ns\"") && !pending.is_empty() {
-            for (key, value) in pending.drain(..) {
-                out.push_str(&format!("    \"{key}\": {value},\n"));
-            }
-        }
-    }
-    std::fs::write(path, out)
 }
 
 fn assert_bit_identical(resumed: &[DegradationPoint], cold: &[DegradationPoint]) {

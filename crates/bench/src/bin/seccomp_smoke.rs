@@ -28,6 +28,7 @@ use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
 
+use apistudy_bench::record;
 use apistudy_core::{
     synthesize_fleet, synthesize_fleet_journaled, FleetOptions, FleetReport,
     Study,
@@ -66,29 +67,6 @@ fn strip(mut r: FleetReport) -> FleetReport {
         u.replayed = false;
     }
     r
-}
-
-/// Same in-place JSON update idiom as the other smoke gates: rewrite
-/// only the measured keys, leave the hand-maintained rest untouched.
-fn record(results: &[(&str, u128)]) -> std::io::Result<()> {
-    let path = "BENCH_pipeline.json";
-    let text = std::fs::read_to_string(path)?;
-    let mut out = String::new();
-    for line in text.lines() {
-        let trimmed = line.trim();
-        if let Some((key, value)) = results
-            .iter()
-            .find(|(k, _)| trimmed.starts_with(&format!("\"{k}\":")))
-        {
-            let indent = &line[..line.len() - trimmed.len()];
-            let comma = if trimmed.ends_with(',') { "," } else { "" };
-            out.push_str(&format!("{indent}\"{key}\": {value}{comma}\n"));
-            continue;
-        }
-        out.push_str(line);
-        out.push('\n');
-    }
-    std::fs::write(path, out)
 }
 
 /// Child mode: run the journaled batch; the parent's

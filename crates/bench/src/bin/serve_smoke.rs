@@ -38,6 +38,7 @@ use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use apistudy_bench::{record, recorded};
 use apistudy_catalog::Api;
 use apistudy_core::{
     greedy_suggestions, Client, Metrics, Request, Response, RetryPolicy,
@@ -216,43 +217,6 @@ fn batch_load(
 fn percentile(sorted: &[u128], p: f64) -> u128 {
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx]
-}
-
-const BENCH_JSON: &str = "BENCH_pipeline.json";
-
-/// Updates (or leaves untouched) the `serve` section's measured keys in
-/// BENCH_pipeline.json without disturbing the hand-maintained rest.
-fn record(results: &[(&str, u128)]) -> std::io::Result<()> {
-    let text = std::fs::read_to_string(BENCH_JSON)?;
-    let mut out = String::new();
-    for line in text.lines() {
-        let trimmed = line.trim();
-        if let Some((key, value)) = results
-            .iter()
-            .find(|(k, _)| trimmed.starts_with(&format!("\"{k}\":")))
-        {
-            let indent = &line[..line.len() - trimmed.len()];
-            let comma = if trimmed.ends_with(',') { "," } else { "" };
-            out.push_str(&format!("{indent}\"{key}\": {value}{comma}\n"));
-            continue;
-        }
-        out.push_str(line);
-        out.push('\n');
-    }
-    std::fs::write(BENCH_JSON, out)
-}
-
-/// Reads one integer key back out of BENCH_pipeline.json (the same
-/// line-oriented convention `record` writes).
-fn recorded(key: &str) -> Option<u128> {
-    let text = std::fs::read_to_string(BENCH_JSON).ok()?;
-    for line in text.lines() {
-        if let Some(rest) = line.trim().strip_prefix(&format!("\"{key}\":"))
-        {
-            return rest.trim().trim_end_matches(',').parse().ok();
-        }
-    }
-    None
 }
 
 /// `--check`: compare the measured latency-wave numbers against the

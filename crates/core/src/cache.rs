@@ -46,16 +46,19 @@
 //! With [`CacheMode::Disk`], the cache additionally persists to plain
 //! length-prefixed binary files (no serde) under `target/apistudy-cache/`
 //! so repeated `apistudy` CLI invocations warm-start across processes.
-//! Each shard persists to its own file, written to a temporary sibling
-//! and atomically renamed, and every entry carries a checksum of its
-//! payload: a torn or bit-flipped entry is *skipped* at load (its intact
-//! length prefix lets the loader step over it) and the valid remainder
-//! is salvaged. Only unframeable damage — a bad header, an insane length
-//! — abandons one shard file; the others still load. The cache degrades
-//! toward cold, never to wrong, and never all-or-nothing.
+//! The bytes are built with the crate's framing layer (`crate::frame`):
+//! its bounds-checked cursor and writers, and its atomic write — each
+//! shard persists to its own file, written to a temporary sibling,
+//! fsynced and renamed. The entry layout is the cache's own: the key
+//! sits outside the checksum and the length is a `u64`, so a torn or
+//! bit-flipped entry is *skipped* at load (its intact length prefix lets
+//! the loader step over it) and the valid remainder is salvaged, where a
+//! journal would stop at the damage. Only unframeable damage — a bad
+//! header, an insane length — abandons one shard file; the others still
+//! load. The cache degrades toward cold, never to wrong, and never
+//! all-or-nothing.
 
 use std::collections::{BTreeSet, HashMap};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -64,6 +67,9 @@ use apistudy_analysis::{content_hash, BinaryAnalysis, Footprint, FuncInfo};
 use apistudy_elf::BinaryClass;
 
 use crate::footprint::ApiFootprint;
+use crate::frame::{
+    put_count, put_string, put_u32, put_u64, write_atomic, Cursor,
+};
 
 /// Number of independently locked shards. A power of two so shard
 /// selection is a mask; 16 comfortably exceeds the pipeline's worker cap.
@@ -393,25 +399,17 @@ impl AnalysisCache {
 
             let mut buf = Vec::new();
             buf.extend_from_slice(MAGIC);
-            buf.extend_from_slice(&VERSION.to_le_bytes());
-            buf.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+            put_u32(&mut buf, VERSION);
+            put_u64(&mut buf, entries.len() as u64);
             for (key, ba) in &entries {
                 let payload = encode_analysis(ba);
-                buf.extend_from_slice(&key.content.to_le_bytes());
-                buf.extend_from_slice(&key.options.to_le_bytes());
-                buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-                buf.extend_from_slice(&content_hash(&payload).to_le_bytes());
+                put_u64(&mut buf, key.content);
+                put_u64(&mut buf, key.options);
+                put_u64(&mut buf, payload.len() as u64);
+                put_u64(&mut buf, content_hash(&payload));
                 buf.extend_from_slice(&payload);
             }
-
-            let path = self.shard_path(si);
-            let tmp = path.with_extension("tmp");
-            {
-                let mut f = std::fs::File::create(&tmp)?;
-                f.write_all(&buf)?;
-                f.sync_all()?;
-            }
-            std::fs::rename(&tmp, &path)?;
+            write_atomic(&self.shard_path(si), &buf)?;
         }
         Ok(Some(self.dir.clone()))
     }
@@ -433,7 +431,7 @@ impl AnalysisCache {
 
     /// Decodes one persisted shard file, salvaging around bad entries.
     fn load_shard_file(&self, bytes: &[u8]) {
-        let mut c = Cursor { bytes, at: 0 };
+        let mut c = Cursor::new(bytes);
         let Some(magic) = c.take(4) else { return };
         if magic != MAGIC {
             return;
@@ -458,13 +456,14 @@ impl AnalysisCache {
                 // it, so the remainder of the file is still salvageable.
                 continue;
             }
-            let mut pc = Cursor { bytes: payload, at: 0 };
-            let Some(ba) = decode_analysis(&mut pc) else { continue };
+            let mut pc = Cursor::new(payload);
             // Trailing garbage inside a checksum-valid payload means the
             // entry was written wrong, not damaged — still skip only it.
-            if pc.at != payload.len() {
+            let Some(ba) =
+                decode_analysis(&mut pc).and_then(|ba| pc.finish(ba))
+            else {
                 continue;
-            }
+            };
             let key = CacheKey { content, options };
             let mut shard = self.shards[key.shard()]
                 .write()
@@ -477,50 +476,10 @@ impl AnalysisCache {
 }
 
 // ---------------------------------------------------------------------------
-// Length-prefixed codec. Everything little-endian; strings are u32-length
-// UTF-8; collections are u32-count then elements. No serde, no unsafe.
+// Analysis codec on the frame layer's cursor and writers. Everything
+// little-endian; strings are u32-length UTF-8; collections are u32-count
+// then elements. No serde, no unsafe.
 // ---------------------------------------------------------------------------
-
-pub(crate) struct Cursor<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.at.checked_add(n)?;
-        let s = self.bytes.get(self.at..end)?;
-        self.at = end;
-        Some(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(self.take(4)?);
-        Some(u32::from_le_bytes(raw))
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(self.take(8)?);
-        Some(u64::from_le_bytes(raw))
-    }
-
-    pub(crate) fn string(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).ok()
-    }
-}
-
-pub(crate) fn put_string(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
 
 fn put_opt_string(buf: &mut Vec<u8>, s: &Option<String>) {
     match s {
@@ -540,19 +499,15 @@ fn get_opt_string(c: &mut Cursor<'_>) -> Option<Option<String>> {
     }
 }
 
-pub(crate) fn put_count(buf: &mut Vec<u8>, n: usize) {
-    buf.extend_from_slice(&(n as u32).to_le_bytes());
-}
-
 fn encode_footprint(buf: &mut Vec<u8>, fp: &Footprint) {
     put_count(buf, fp.syscalls.len());
     for &nr in &fp.syscalls {
-        buf.extend_from_slice(&nr.to_le_bytes());
+        put_u32(buf, nr);
     }
     for codes in [&fp.ioctl_codes, &fp.fcntl_codes, &fp.prctl_codes] {
         put_count(buf, codes.len());
         for &code in codes {
-            buf.extend_from_slice(&code.to_le_bytes());
+            put_u64(buf, code);
         }
     }
     for strings in [&fp.imports, &fp.paths] {
@@ -561,8 +516,8 @@ fn encode_footprint(buf: &mut Vec<u8>, fp: &Footprint) {
             put_string(buf, s);
         }
     }
-    buf.extend_from_slice(&fp.unresolved_syscall_sites.to_le_bytes());
-    buf.extend_from_slice(&fp.unresolved_vectored_sites.to_le_bytes());
+    put_u32(buf, fp.unresolved_syscall_sites);
+    put_u32(buf, fp.unresolved_vectored_sites);
 }
 
 fn decode_footprint(c: &mut Cursor<'_>) -> Option<Footprint> {
@@ -617,12 +572,12 @@ fn encode_analysis(ba: &BinaryAnalysis) -> Vec<u8> {
     put_count(&mut buf, ba.funcs.len());
     for f in &ba.funcs {
         put_string(&mut buf, &f.name);
-        buf.extend_from_slice(&f.addr.to_le_bytes());
-        buf.extend_from_slice(&f.size.to_le_bytes());
+        put_u64(&mut buf, f.addr);
+        put_u64(&mut buf, f.size);
         encode_footprint(&mut buf, &f.facts);
         put_count(&mut buf, f.calls.len());
         for &callee in &f.calls {
-            buf.extend_from_slice(&(callee as u64).to_le_bytes());
+            put_u64(&mut buf, callee as u64);
         }
     }
     // Exports sorted by name so equal analyses encode identically.
@@ -631,16 +586,16 @@ fn encode_analysis(ba: &BinaryAnalysis) -> Vec<u8> {
     put_count(&mut buf, exports.len());
     for (name, &idx) in exports {
         put_string(&mut buf, name);
-        buf.extend_from_slice(&(idx as u64).to_le_bytes());
+        put_u64(&mut buf, idx as u64);
     }
     match ba.entry {
         None => buf.push(0),
         Some(e) => {
             buf.push(1);
-            buf.extend_from_slice(&(e as u64).to_le_bytes());
+            put_u64(&mut buf, e as u64);
         }
     }
-    buf.extend_from_slice(&ba.instructions.to_le_bytes());
+    put_u64(&mut buf, ba.instructions);
     buf
 }
 
@@ -764,9 +719,9 @@ mod tests {
     fn roundtrip_preserves_analysis_exactly() {
         let ba = sample_analysis();
         let encoded = encode_analysis(&ba);
-        let mut c = Cursor { bytes: &encoded, at: 0 };
+        let mut c = Cursor::new(&encoded);
         let decoded = decode_analysis(&mut c).expect("decodes");
-        assert_eq!(c.at, encoded.len(), "payload fully consumed");
+        let decoded = c.finish(decoded).expect("payload fully consumed");
         assert_eq!(decoded, ba);
     }
 
@@ -775,7 +730,7 @@ mod tests {
         let mut ba = sample_analysis();
         ba.exports.insert("evil".to_owned(), 99);
         let encoded = encode_analysis(&ba);
-        let mut c = Cursor { bytes: &encoded, at: 0 };
+        let mut c = Cursor::new(&encoded);
         assert!(decode_analysis(&mut c).is_none());
     }
 
@@ -783,7 +738,7 @@ mod tests {
     fn decode_rejects_truncation_at_every_length() {
         let encoded = encode_analysis(&sample_analysis());
         for cut in 0..encoded.len() {
-            let mut c = Cursor { bytes: &encoded[..cut], at: 0 };
+            let mut c = Cursor::new(&encoded[..cut]);
             // Either cleanly rejected, or (never) a full parse of a
             // truncated buffer.
             if let Some(_ba) = decode_analysis(&mut c) {

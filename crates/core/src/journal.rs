@@ -10,16 +10,19 @@
 //! proven bit-identical to an uninterrupted run (f64 results round-trip
 //! by bit pattern, never through text).
 //!
-//! Durability discipline:
+//! The file is a log of the crate's one framing layer (`crate::frame`),
+//! which owns the durability discipline; this module is the record codec
+//! on top of it plus the journal's own rules:
 //!
-//! - the **header** — magic, version, and the run's [`RunFingerprint`] —
-//!   is committed with a temp-file + atomic rename, so a journal either
-//!   exists with a complete, checksummed header or not at all;
-//! - **records** are appended with a length prefix and a 64-bit content
-//!   checksum, flushed and fsynced per append; a torn or truncated tail
-//!   (a crash mid-`write`) is recovered by scanning the longest valid
-//!   record prefix and discarding the rest — never a wrong record,
-//!   never an aborted resume;
+//! - the **header** — magic `APSJ`, version, and the run's
+//!   [`RunFingerprint`] — is committed with a temp-file + atomic rename,
+//!   so a journal either exists with a complete, checksummed header or
+//!   not at all;
+//! - **records** are frames (length prefix, 64-bit content checksum,
+//!   payload), written and fsynced one per append; a torn or truncated
+//!   tail (a crash mid-`write`) is recovered by keeping the longest
+//!   prefix of records that verify and decode and truncating the rest —
+//!   never a wrong record, never an aborted resume;
 //! - the header's fingerprint binds the journal to one exact run:
 //!   corpus identity, [`AnalysisOptions`](apistudy_analysis::AnalysisOptions)
 //!   fingerprint, catalog version, and the plan being executed (fault
@@ -33,27 +36,27 @@
 //! crash-resume integration suite uses it to kill real subprocess sweeps
 //! at every interesting boundary.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use apistudy_analysis::content_hash;
 use apistudy_catalog::Catalog;
 use apistudy_corpus::SynthRepo;
 
-use crate::cache::{fold_hash, Cursor};
+use crate::cache::fold_hash;
 use crate::degradation::DegradationPoint;
+use crate::frame::{
+    put_frame, put_nr_list, put_u32, put_u64, Cursor, Log, LogFormat,
+    Replay, MAX_RECORD,
+};
 
-/// Journal file magic.
-const MAGIC: &[u8; 4] = b"APSJ";
-/// On-disk format version (bump on any layout change; old journals are
-/// then refused with a header error, never misread).
-const VERSION: u32 = 1;
-/// Sanity bound on one record's payload — far above any real record, low
-/// enough that a corrupt length prefix cannot trigger a giant allocation.
-const MAX_RECORD: usize = 1 << 24;
-/// Header layout: magic(4) version(4) kind(1) fingerprint(8) check(8).
-const HEADER_LEN: usize = 25;
+/// The journal's log format: magic, version, and the sysfault sites of
+/// its appends.
+const FORMAT: LogFormat = LogFormat {
+    magic: b"APSJ",
+    version: 1,
+    write_site: "journal.write",
+    fsync_site: "journal.fsync",
+};
 
 /// Which kind of run a journal belongs to. Folded into the fingerprint
 /// so a sweep journal can never resume a greedy plan or vice versa.
@@ -211,14 +214,11 @@ impl JournalRecord {
         match self {
             JournalRecord::SupportSet(numbers) => {
                 buf.push(1);
-                buf.extend_from_slice(&(numbers.len() as u32).to_le_bytes());
-                for &nr in numbers {
-                    buf.extend_from_slice(&nr.to_le_bytes());
-                }
+                put_nr_list(&mut buf, numbers);
             }
             JournalRecord::SweepPoint(p) => {
                 buf.push(2);
-                buf.extend_from_slice(&p.rate.to_bits().to_le_bytes());
+                put_u64(&mut buf, p.rate.to_bits());
                 for word in [
                     p.injected,
                     p.injected_fatal,
@@ -227,20 +227,16 @@ impl JournalRecord {
                     p.partial_packages,
                     p.quarantined_packages,
                 ] {
-                    buf.extend_from_slice(&word.to_le_bytes());
+                    put_u32(&mut buf, word);
                 }
-                buf.extend_from_slice(
-                    &(p.distinct_syscalls as u64).to_le_bytes(),
-                );
-                buf.extend_from_slice(
-                    &p.completeness_top.to_bits().to_le_bytes(),
-                );
+                put_u64(&mut buf, p.distinct_syscalls as u64);
+                put_u64(&mut buf, p.completeness_top.to_bits());
             }
             JournalRecord::GreedyPick { nr, gain_bits, after_bits } => {
                 buf.push(3);
-                buf.extend_from_slice(&nr.to_le_bytes());
-                buf.extend_from_slice(&gain_bits.to_le_bytes());
-                buf.extend_from_slice(&after_bits.to_le_bytes());
+                put_u32(&mut buf, *nr);
+                put_u64(&mut buf, *gain_bits);
+                put_u64(&mut buf, *after_bits);
             }
             JournalRecord::FleetFilter {
                 allow_hash,
@@ -252,32 +248,22 @@ impl JournalRecord {
                 linear_depth_total,
             } => {
                 buf.push(4);
-                buf.extend_from_slice(&allow_hash.to_le_bytes());
+                put_u64(&mut buf, *allow_hash);
                 for word in [*tree_len, *linear_len, *tree_max_depth] {
-                    buf.extend_from_slice(&word.to_le_bytes());
+                    put_u32(&mut buf, word);
                 }
-                buf.extend_from_slice(&tree_depth_total.to_le_bytes());
-                buf.extend_from_slice(&linear_max_depth.to_le_bytes());
-                buf.extend_from_slice(&linear_depth_total.to_le_bytes());
+                put_u64(&mut buf, *tree_depth_total);
+                put_u32(&mut buf, *linear_max_depth);
+                put_u64(&mut buf, *linear_depth_total);
             }
         }
         buf
     }
 
     fn decode(payload: &[u8]) -> Option<Self> {
-        let mut c = Cursor { bytes: payload, at: 0 };
+        let mut c = Cursor::new(payload);
         let rec = match c.u8()? {
-            1 => {
-                let count = c.u32()? as usize;
-                if count > MAX_RECORD / 4 {
-                    return None;
-                }
-                let mut numbers = Vec::with_capacity(count);
-                for _ in 0..count {
-                    numbers.push(c.u32()?);
-                }
-                JournalRecord::SupportSet(numbers)
-            }
+            1 => JournalRecord::SupportSet(c.nr_list(MAX_RECORD / 4)?),
             2 => {
                 let rate = f64::from_bits(c.u64()?);
                 let injected = c.u32()?;
@@ -316,11 +302,7 @@ impl JournalRecord {
             },
             _ => return None,
         };
-        // Trailing garbage means the record is not what was written.
-        if c.at != payload.len() {
-            return None;
-        }
-        Some(rec)
+        c.finish(rec)
     }
 }
 
@@ -402,15 +384,11 @@ impl From<std::io::Error> for JournalError {
 /// length-prefixed records appended as work units complete.
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
-    path: PathBuf,
+    log: Log,
     stats: JournalStats,
     /// Fail-point: abort the process after this many successful appends
     /// (from `APISTUDY_JOURNAL_CRASH_AFTER`; test harness only).
     crash_after: Option<u64>,
-    /// Set when an append fails; every later append returns
-    /// [`JournalError::FailStop`] (fsyncgate semantics).
-    poisoned: bool,
 }
 
 fn crash_after_from_env() -> Option<u64> {
@@ -419,43 +397,21 @@ fn crash_after_from_env() -> Option<u64> {
         .and_then(|v| v.trim().parse::<u64>().ok())
 }
 
-fn header_bytes(fp: &RunFingerprint) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.push(fp.kind.tag());
-    buf.extend_from_slice(&fp.fold().to_le_bytes());
-    let check = content_hash(&buf);
-    buf.extend_from_slice(&check.to_le_bytes());
-    buf
-}
-
 impl Journal {
+    fn with_log(log: Log, replayed: u64) -> Self {
+        Self {
+            log,
+            stats: JournalStats { replayed, appended: 0 },
+            crash_after: crash_after_from_env(),
+        }
+    }
+
     /// Creates a fresh journal for the given run. The header is written
     /// to a temporary sibling, fsynced, and renamed into place, so a
     /// crash during creation leaves either a complete journal or none.
     /// An existing file at `path` is replaced.
     pub fn create(path: &Path, fp: &RunFingerprint) -> Result<Self, JournalError> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&header_bytes(fp))?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Self {
-            file,
-            path: path.to_owned(),
-            stats: JournalStats::default(),
-            crash_after: crash_after_from_env(),
-            poisoned: false,
-        })
+        Ok(Self::with_log(Log::create(path, &FORMAT, fp)?, 0))
     }
 
     /// Opens an existing journal for resumption: verifies the header
@@ -467,26 +423,20 @@ impl Journal {
         path: &Path,
         fp: &RunFingerprint,
     ) -> Result<(Self, Vec<JournalRecord>), JournalError> {
-        let bytes = std::fs::read(path)?;
-        let (records, valid_end) = Self::recover(&bytes, fp)?;
-        let file = OpenOptions::new().write(true).open(path)?;
-        if (valid_end as u64) < bytes.len() as u64 {
-            file.set_len(valid_end as u64)?;
-            file.sync_all()?;
-        }
-        drop(file);
-        let file = OpenOptions::new().append(true).open(path)?;
+        let mut records = Vec::new();
+        // Any record that verifies but does not decode ends the prefix
+        // there; everything before it is intact by checksum and kept.
+        let log = Log::resume(path, &FORMAT, fp, |payload| {
+            match JournalRecord::decode(payload) {
+                Some(rec) => {
+                    records.push(rec);
+                    Replay::Commit
+                }
+                None => Replay::Stop,
+            }
+        })?;
         let replayed = records.len() as u64;
-        Ok((
-            Self {
-                file,
-                path: path.to_owned(),
-                stats: JournalStats { replayed, appended: 0 },
-                crash_after: crash_after_from_env(),
-                poisoned: false,
-            },
-            records,
-        ))
+        Ok((Self::with_log(log, replayed), records))
     }
 
     /// Resumes when `path` holds a compatible journal, otherwise creates
@@ -505,76 +455,6 @@ impl Journal {
         }
     }
 
-    /// Scans `bytes` as a journal: header validation, then the longest
-    /// valid prefix of records. Returns the records and the byte offset
-    /// where the valid prefix ends.
-    fn recover(
-        bytes: &[u8],
-        fp: &RunFingerprint,
-    ) -> Result<(Vec<JournalRecord>, usize), JournalError> {
-        let mut c = Cursor { bytes, at: 0 };
-        let magic = c
-            .take(4)
-            .ok_or_else(|| JournalError::Header("file shorter than magic".into()))?;
-        if magic != MAGIC {
-            return Err(JournalError::Header("bad magic".into()));
-        }
-        match c.u32() {
-            Some(VERSION) => {}
-            Some(v) => {
-                return Err(JournalError::Header(format!(
-                    "unsupported version {v} (this build reads {VERSION})"
-                )))
-            }
-            None => return Err(JournalError::Header("truncated header".into())),
-        }
-        let kind_tag = c
-            .u8()
-            .ok_or_else(|| JournalError::Header("truncated header".into()))?;
-        let found = c
-            .u64()
-            .ok_or_else(|| JournalError::Header("truncated header".into()))?;
-        let check = c
-            .u64()
-            .ok_or_else(|| JournalError::Header("truncated header".into()))?;
-        if content_hash(&bytes[..HEADER_LEN - 8]) != check {
-            return Err(JournalError::Header("header checksum mismatch".into()));
-        }
-        if RunKind::from_tag(kind_tag).is_none() {
-            return Err(JournalError::Header(format!(
-                "unknown run kind {kind_tag}"
-            )));
-        }
-        let expected = fp.fold();
-        if found != expected {
-            return Err(JournalError::FingerprintMismatch { expected, found });
-        }
-
-        // Longest valid record prefix. Any structural violation — short
-        // read, oversized length, checksum mismatch, undecodable payload
-        // — ends the prefix *there*; everything before it is intact by
-        // checksum and kept.
-        let mut records = Vec::new();
-        let mut valid_end = c.at;
-        loop {
-            let mark = c.at;
-            let Some(len) = c.u32() else { break };
-            let len = len as usize;
-            if len > MAX_RECORD {
-                break;
-            }
-            let Some(check) = c.u64() else { break };
-            let Some(payload) = c.take(len) else { break };
-            if content_hash(payload) != check {
-                break;
-            }
-            let Some(rec) = JournalRecord::decode(payload) else { break };
-            records.push(rec);
-            valid_end = mark + 4 + 8 + len;
-        }
-        Ok((records, valid_end))
-    }
-
     /// Appends one completed work unit: length prefix, checksum, payload,
     /// written in a single `write_all` and fsynced before returning, so a
     /// record either survives a crash whole or is discarded as a torn
@@ -590,23 +470,9 @@ impl Journal {
     /// [`Journal::resume`], which truncates back to the longest valid
     /// prefix.
     pub fn append(&mut self, rec: &JournalRecord) -> Result<(), JournalError> {
-        if self.poisoned {
-            return Err(JournalError::FailStop);
-        }
-        let payload = rec.encode();
-        let mut buf = Vec::with_capacity(12 + payload.len());
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&content_hash(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
-        if let Err(e) =
-            crate::sys::file_write_all(&self.file, &buf, "journal.write")
-                .and_then(|()| {
-                    crate::sys::file_sync_data(&self.file, "journal.fsync")
-                })
-        {
-            self.poisoned = true;
-            return Err(JournalError::Io(e));
-        }
+        let mut frame = Vec::new();
+        put_frame(&mut frame, &rec.encode());
+        self.log.append(&frame)?;
         self.stats.appended += 1;
         if let Some(n) = self.crash_after {
             if self.stats.appended >= n {
@@ -627,18 +493,20 @@ impl Journal {
 
     /// Whether an append failure has fail-stopped this handle.
     pub fn poisoned(&self) -> bool {
-        self.poisoned
+        self.log.poisoned()
     }
 
     /// Where the journal lives.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use std::path::PathBuf;
 
     fn tmp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(

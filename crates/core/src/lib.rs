@@ -37,8 +37,8 @@
 //!   analyzed with only one shard's binaries resident, folded into
 //!   bit-identical [`pipeline::StudyData`];
 //! - [`store`] — the on-disk [`store::FootprintStore`]: clean shards
-//!   persisted with journal-style framing so interrupted sharded runs
-//!   resume at file-read cost;
+//!   persisted on the same framed log as the journal, so interrupted
+//!   sharded runs resume at file-read cost;
 //! - [`diff`] — study-to-study comparison (releases / what-if scenarios);
 //! - [`workloads`] — evaluation-workload matching for modified APIs;
 //! - [`sys`] — classified `extern "C"` wrappers over the event-driven
@@ -63,6 +63,7 @@ pub mod diff;
 pub mod engine;
 pub mod footprint;
 pub mod footprints;
+mod frame;
 pub mod journal;
 pub mod libc_restructure;
 pub mod metrics;
@@ -104,7 +105,7 @@ pub use planner::{
 };
 pub use proto::{
     encode_frame, read_frame_by, scan_frame, ErrorCode, FrameError,
-    ReadBudget, Request, Response, FRAME_HEADER, MAX_BATCH, MAX_FRAME,
+    Request, Response, FRAME_HEADER, MAX_BATCH, MAX_FRAME,
 };
 pub use seccomp_bpf::{
     depth_profile, run_filter, run_filter_traced, seccomp_filter,

@@ -1,11 +1,14 @@
 //! The query daemon's wire protocol: length-prefixed, checksummed frames.
 //!
-//! Every byte off the wire is untrusted. The framing is the write-ahead
-//! journal's, deliberately — a `u32` length prefix, a 64-bit content
-//! checksum, then the payload — with hard limits enforced *before* any
-//! allocation: a corrupt or hostile length prefix can cost at most
-//! [`MAX_FRAME`] bytes, never a giant allocation, and a checksum mismatch
-//! or undecodable payload is a classified [`FrameError`] /
+//! Every byte off the wire is untrusted. Frames come from the crate's one
+//! framing layer (`crate::frame`), the same one under the journal and the
+//! footprint store — a `u32` length prefix, a 64-bit content checksum,
+//! then the payload — capped at [`MAX_FRAME`] in both directions. A
+//! reader refuses an over-cap length prefix *before* any allocation, so a
+//! corrupt or hostile prefix costs at most [`MAX_FRAME`] bytes; the
+//! daemon never sends one, answering with an [`ErrorCode::TooLarge`]
+//! error instead of an over-cap reply. A checksum mismatch or
+//! undecodable payload is a classified [`FrameError`] /
 //! [`ErrorCode::BadRequest`], never a panic. No serde.
 //!
 //! Decoding is total: [`Request::decode`] and [`Response::decode`] accept
@@ -14,17 +17,17 @@
 //! The chaos suite drives millions of fuzzed payloads through them and
 //! through a live daemon to hold that line.
 //!
-//! Reads are deadline-bound ([`read_frame`]): the caller supplies an
-//! *idle* budget (how long to wait for the first byte of the next frame)
-//! and a *request* budget (how long a started frame may take to arrive in
-//! full), so a slowloris writer dribbling one byte per second is cut off
-//! at the request deadline instead of pinning a worker forever.
+//! The daemon's reactor feeds nonblocking reads to [`scan_frame`]. The
+//! client's blocking read, [`read_frame_by`], runs under one absolute
+//! per-request deadline: a server that accepts a request but stalls
+//! mid-reply is cut at exactly that deadline, never at a stack of idle
+//! and request budgets.
 
-use std::io::{Read as _, Write as _};
+use std::io::Read as _;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use apistudy_analysis::content_hash;
+use crate::frame::{self, put_nr_list, put_u32, put_u64, Cursor};
 
 /// Hard cap on one frame's payload. Requests and replies are small
 /// (syscall-number lists and f64 bit patterns); anything larger is either
@@ -41,7 +44,7 @@ pub const MAX_BATCH: usize = 64;
 /// Hard cap on an error reply's detail string, in bytes.
 pub const MAX_ERR_MSG: usize = 200;
 /// Frame header length: length prefix (4) plus content checksum (8).
-pub const FRAME_HEADER: usize = 12;
+pub const FRAME_HEADER: usize = frame::HEADER;
 
 /// How a frame read ended short of a whole valid frame.
 #[derive(Debug)]
@@ -56,12 +59,10 @@ pub enum FrameError {
     /// The payload's checksum does not match its header. The stream may
     /// be corrupt or hostile; the connection must be closed.
     Checksum,
-    /// The idle budget expired while waiting for the next frame to start.
+    /// The deadline expired before the frame's first byte arrived.
     Idle,
-    /// The request budget expired mid-frame (slowloris or stall).
+    /// The deadline expired mid-frame (slowloris or stall).
     Deadline,
-    /// The server is draining; no further frames will be read.
-    Draining,
     /// Any other socket failure.
     Io(std::io::Error),
 }
@@ -77,7 +78,6 @@ impl std::fmt::Display for FrameError {
             FrameError::Checksum => write!(f, "frame checksum mismatch"),
             FrameError::Idle => write!(f, "idle deadline expired"),
             FrameError::Deadline => write!(f, "request deadline expired"),
-            FrameError::Draining => write!(f, "server draining"),
             FrameError::Io(e) => write!(f, "socket error: {e}"),
         }
     }
@@ -87,9 +87,9 @@ impl FrameError {
     /// Whether this failure lives in the **transport**, so a reconnect
     /// (with backoff) may genuinely succeed: the peer vanished
     /// (`Closed`/`Truncated`), the socket failed (`Io` — `EINTR`,
-    /// `EAGAIN`, `ECONNRESET` mid-handshake), the server said come back
-    /// later (`Draining`), or it simply never answered in budget
-    /// (`Idle`/`Deadline`). The remaining cases — `Checksum`,
+    /// `EAGAIN`, `ECONNRESET` mid-handshake), or it simply never
+    /// answered in budget (`Idle`/`Deadline`). The remaining cases —
+    /// `Checksum`,
     /// `TooLarge` — mean the *content* is wrong: the same bytes will be
     /// wrong on every retry, so retrying a malformed reply only burns
     /// the backoff budget and masks corruption.
@@ -99,8 +99,7 @@ impl FrameError {
             | FrameError::Truncated
             | FrameError::Io(_)
             | FrameError::Idle
-            | FrameError::Deadline
-            | FrameError::Draining => true,
+            | FrameError::Deadline => true,
             FrameError::Checksum | FrameError::TooLarge(_) => false,
         }
     }
@@ -115,8 +114,11 @@ pub enum ErrorCode {
     /// The frame itself was damaged (checksum mismatch or truncation);
     /// the stream is desynchronized and the connection will close.
     BadFrame,
-    /// The frame's length prefix exceeded [`MAX_FRAME`]; the connection
-    /// will close.
+    /// A frame exceeded [`MAX_FRAME`]. For a request's length prefix
+    /// the connection will close. For a reply the server would have had
+    /// to send over the cap (say a `Batch` of large `Suggest` plans), the
+    /// request was served but its answer is replaced by this error,
+    /// which names the reply's size; the connection stays open.
     TooLarge,
     /// The frame arrived intact but its payload is not a valid request.
     BadRequest,
@@ -241,75 +243,6 @@ pub enum Request {
     ),
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_nr_list(buf: &mut Vec<u8>, nrs: &[u32]) {
-    put_u32(buf, nrs.len() as u32);
-    for &nr in nrs {
-        put_u32(buf, nr);
-    }
-}
-
-/// Byte cursor over an untrusted payload. Every read is bounds-checked;
-/// exhaustion is `None`, never a panic.
-struct Take<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Take<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, at: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.at.checked_add(n)?;
-        let s = self.bytes.get(self.at..end)?;
-        self.at = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.bytes(1).map(|b| b[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(self.bytes(4)?);
-        Some(u32::from_le_bytes(raw))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(self.bytes(8)?);
-        Some(u64::from_le_bytes(raw))
-    }
-
-    fn nr_list(&mut self, cap: usize) -> Option<Vec<u32>> {
-        let count = self.u32()? as usize;
-        if count > cap {
-            return None;
-        }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.u32()?);
-        }
-        Some(out)
-    }
-
-    /// The payload must be fully consumed: trailing bytes mean the frame
-    /// is not what the peer framed, so the message is rejected whole.
-    fn finish<T>(self, value: T) -> Option<T> {
-        (self.at == self.bytes.len()).then_some(value)
-    }
-}
-
 impl Request {
     fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
@@ -373,7 +306,7 @@ impl Request {
     /// Decodes exactly one request from the cursor's current position
     /// (sub-requests are self-delimiting). `allow_batch` is false inside
     /// a batch: nesting depth is exactly one.
-    fn decode_inner(c: &mut Take<'_>, allow_batch: bool) -> Option<Self> {
+    fn decode_inner(c: &mut Cursor<'_>, allow_batch: bool) -> Option<Self> {
         Some(match c.u8()? {
             1 => Request::Ping,
             2 => Request::Importance { nr: c.u32()? },
@@ -388,17 +321,11 @@ impl Request {
             8 => Request::SessionProbe { nr: c.u32()? },
             9 => Request::Reload { expect_fingerprint: c.u64()? },
             10 => Request::Shutdown,
-            11 => {
-                if !allow_batch {
+            11 if allow_batch => {
+                let subs =
+                    c.list(MAX_BATCH, |c| Request::decode_inner(c, false))?;
+                if subs.is_empty() {
                     return None;
-                }
-                let count = c.u32()? as usize;
-                if count == 0 || count > MAX_BATCH {
-                    return None;
-                }
-                let mut subs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    subs.push(Request::decode_inner(c, false)?);
                 }
                 Request::Batch(subs)
             }
@@ -410,7 +337,7 @@ impl Request {
     /// is the canonical encoding of exactly one request, with every list
     /// under its hard cap.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        let mut c = Take::new(payload);
+        let mut c = Cursor::new(payload);
         let req = Request::decode_inner(&mut c, true)?;
         c.finish(req)
     }
@@ -550,7 +477,7 @@ impl Response {
     /// Decodes exactly one reply from the cursor's current position.
     /// `allow_batch` is false inside a batch (nesting depth one, mirroring
     /// the request side).
-    fn decode_inner(c: &mut Take<'_>, allow_batch: bool) -> Option<Self> {
+    fn decode_inner(c: &mut Cursor<'_>, allow_batch: bool) -> Option<Self> {
         Some(match c.u8()? {
             1 => Response::Pong {
                 fingerprint: c.u64()?,
@@ -562,17 +489,9 @@ impl Response {
                 unweighted_bits: c.u64()?,
             },
             3 => Response::Completeness { bits: c.u64()? },
-            4 => {
-                let count = c.u32()? as usize;
-                if count > MAX_PICKS {
-                    return None;
-                }
-                let mut picks = Vec::with_capacity(count);
-                for _ in 0..count {
-                    picks.push((c.u32()?, c.u64()?));
-                }
-                Response::Suggest { picks }
-            }
+            4 => Response::Suggest {
+                picks: c.list(MAX_PICKS, |c| Some((c.u32()?, c.u64()?)))?,
+            },
             5 => Response::Session {
                 delta_bits: c.u64()?,
                 completeness_bits: c.u64()?,
@@ -588,21 +507,15 @@ impl Response {
                 if len > MAX_ERR_MSG {
                     return None;
                 }
-                let raw = c.bytes(len)?;
+                let raw = c.take(len)?;
                 let msg = std::str::from_utf8(raw).ok()?.to_owned();
                 Response::Err { code, msg }
             }
-            9 => {
-                if !allow_batch {
+            9 if allow_batch => {
+                let subs =
+                    c.list(MAX_BATCH, |c| Response::decode_inner(c, false))?;
+                if subs.is_empty() {
                     return None;
-                }
-                let count = c.u32()? as usize;
-                if count == 0 || count > MAX_BATCH {
-                    return None;
-                }
-                let mut subs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    subs.push(Response::decode_inner(c, false)?);
                 }
                 Response::Batch(subs)
             }
@@ -614,7 +527,7 @@ impl Response {
     /// corrupt or impostor server): `None` unless `payload` is the
     /// canonical encoding of exactly one reply.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        let mut c = Take::new(payload);
+        let mut c = Cursor::new(payload);
         let resp = Response::decode_inner(&mut c, true)?;
         c.finish(resp)
     }
@@ -627,28 +540,9 @@ impl Response {
 
 /// Frames one payload for the wire: length prefix, checksum, bytes.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&content_hash(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    let mut out = Vec::new();
+    frame::put_frame(&mut out, payload);
     out
-}
-
-/// Parses a complete in-memory frame: `Some((payload, bytes_consumed))`
-/// when `bytes` starts with one whole valid frame. Used by tests and the
-/// fuzz harness; the socket path is [`read_frame`].
-pub fn decode_frame(bytes: &[u8]) -> Option<(&[u8], usize)> {
-    let mut c = Take::new(bytes);
-    let len = c.u32()? as usize;
-    if len > MAX_FRAME {
-        return None;
-    }
-    let check = c.u64()?;
-    let payload = c.bytes(len)?;
-    if content_hash(payload) != check {
-        return None;
-    }
-    Some((payload, FRAME_HEADER + len))
 }
 
 /// Incremental frame scan over a reactor's accumulation buffer.
@@ -659,91 +553,37 @@ pub fn decode_frame(bytes: &[u8]) -> Option<(&[u8], usize)> {
 /// moment it is provable: an over-cap length prefix fails
 /// [`FrameError::TooLarge`] before the body arrives (no attacker-sized
 /// buffering), a checksum mismatch fails [`FrameError::Checksum`] once
-/// the body is complete. Unlike [`decode_frame`] this never waits for
-/// bytes that the header already proves will be rejected.
+/// the body is complete.
 pub fn scan_frame(buf: &[u8]) -> Result<Option<usize>, FrameError> {
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    let mut raw = [0u8; 4];
-    raw.copy_from_slice(&buf[..4]);
-    let len = u32::from_le_bytes(raw) as usize;
-    if len > MAX_FRAME {
-        return Err(FrameError::TooLarge(len));
-    }
-    let total = FRAME_HEADER + len;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&buf[4..12]);
-    let check = u64::from_le_bytes(raw);
-    if content_hash(&buf[FRAME_HEADER..total]) != check {
-        return Err(FrameError::Checksum);
-    }
-    Ok(Some(total))
+    frame::scan(buf, MAX_FRAME)
 }
 
-/// Read budgets for [`read_frame`].
-#[derive(Debug, Clone, Copy)]
-pub struct ReadBudget {
-    /// How long to wait for the first byte of the next frame.
-    pub idle: Duration,
-    /// How long a started frame may take to arrive in full (the
-    /// slowloris bound).
-    pub request: Duration,
-}
-
-/// The granularity at which blocked reads re-check deadlines and the
-/// drain flag. Coarse enough to stay cheap, fine enough that drain and
-/// deadline enforcement feel immediate.
-const POLL: Duration = Duration::from_millis(100);
-
-/// Reads exactly `buf.len()` bytes with deadline polling. `deadline` is
-/// absolute once armed; `arm` is called on the first byte (the idle →
-/// request budget transition). `stop` aborts between bytes at a frame
-/// boundary only.
-fn read_exact_deadline(
+/// Reads exactly `buf.len()` bytes by the absolute `deadline`. On a
+/// frame's first read (`at_boundary`), silence is [`FrameError::Idle`]
+/// and EOF a clean [`FrameError::Closed`]; anywhere later they are
+/// [`FrameError::Deadline`] and [`FrameError::Truncated`].
+fn read_exact_by(
     stream: &TcpStream,
     buf: &mut [u8],
-    deadline: &mut Instant,
-    mut on_first_byte: Option<&mut dyn FnMut(&mut Instant)>,
-    stop: &dyn Fn() -> bool,
+    deadline: Instant,
     at_boundary: bool,
 ) -> Result<(), FrameError> {
     let mut filled = 0usize;
     while filled < buf.len() {
+        let (expired, eof) = if at_boundary && filled == 0 {
+            (FrameError::Idle, FrameError::Closed)
+        } else {
+            (FrameError::Deadline, FrameError::Truncated)
+        };
         let now = Instant::now();
-        if now >= *deadline {
-            return Err(if at_boundary && filled == 0 {
-                FrameError::Idle
-            } else {
-                FrameError::Deadline
-            });
+        if now >= deadline {
+            return Err(expired);
         }
-        if at_boundary && filled == 0 && stop() {
-            return Err(FrameError::Draining);
-        }
-        let wait = (*deadline - now).min(POLL);
-        stream
-            .set_read_timeout(Some(wait.max(Duration::from_millis(1))))
-            .map_err(FrameError::Io)?;
+        let wait = (deadline - now).max(Duration::from_millis(1));
+        stream.set_read_timeout(Some(wait)).map_err(FrameError::Io)?;
         match (&*stream).read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(if at_boundary && filled == 0 {
-                    FrameError::Closed
-                } else {
-                    FrameError::Truncated
-                });
-            }
-            Ok(n) => {
-                if filled == 0 {
-                    if let Some(arm) = on_first_byte.take() {
-                        arm(deadline);
-                    }
-                }
-                filled += n;
-            }
+            Ok(0) => return Err(eof),
+            Ok(n) => filled += n,
             Err(e)
                 if matches!(
                     e.kind(),
@@ -757,84 +597,26 @@ fn read_exact_deadline(
     Ok(())
 }
 
-/// Validates a just-read header and reads the payload it announces under
-/// the (already armed) deadline.
-fn finish_frame(
-    stream: &TcpStream,
-    header: &[u8; FRAME_HEADER],
-    deadline: &mut Instant,
-    stop: &dyn Fn() -> bool,
-) -> Result<Vec<u8>, FrameError> {
-    let mut raw = [0u8; 4];
-    raw.copy_from_slice(&header[..4]);
-    let len = u32::from_le_bytes(raw) as usize;
-    if len > MAX_FRAME {
-        return Err(FrameError::TooLarge(len));
-    }
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&header[4..12]);
-    let check = u64::from_le_bytes(raw);
-    let mut payload = vec![0u8; len];
-    read_exact_deadline(stream, &mut payload, deadline, None, stop, false)?;
-    if content_hash(&payload) != check {
-        return Err(FrameError::Checksum);
-    }
-    Ok(payload)
-}
-
-/// Reads one whole frame from the socket under the given budgets,
-/// returning its validated payload. `stop` (the server's drain flag) is
-/// honored only between frames — an in-flight frame is always finished or
-/// failed, never half-read and abandoned.
-pub fn read_frame(
-    stream: &TcpStream,
-    budget: ReadBudget,
-    stop: &dyn Fn() -> bool,
-) -> Result<Vec<u8>, FrameError> {
-    let mut header = [0u8; FRAME_HEADER];
-    // Idle budget until the first byte lands, then the request budget
-    // governs the rest of the frame.
-    let mut deadline = Instant::now() + budget.idle;
-    let mut arm = |d: &mut Instant| *d = Instant::now() + budget.request;
-    read_exact_deadline(
-        stream,
-        &mut header,
-        &mut deadline,
-        Some(&mut arm),
-        stop,
-        true,
-    )?;
-    finish_frame(stream, &header, &mut deadline, stop)
-}
-
-/// Reads one whole frame under a single **absolute** deadline. Unlike
-/// [`read_frame`]'s idle → request budget hand-off, nothing re-arms when
-/// the first byte lands: the whole frame must arrive by `deadline_at`.
-/// This is the client's per-request budget — a server that accepts the
-/// request but stalls mid-reply is cut at exactly one deadline, not a
-/// stack of idle and request budgets.
+/// Reads one whole frame under a single **absolute** deadline, returning
+/// its validated payload. Nothing re-arms when the first byte lands: the
+/// whole frame must arrive by `deadline_at`. This is the client's
+/// per-request budget — a server that accepts the request but stalls
+/// mid-reply is cut at exactly one deadline. An over-cap length prefix
+/// fails [`FrameError::TooLarge`] before any of the body is read.
 pub fn read_frame_by(
     stream: &TcpStream,
     deadline_at: Instant,
-    stop: &dyn Fn() -> bool,
 ) -> Result<Vec<u8>, FrameError> {
-    let mut header = [0u8; FRAME_HEADER];
-    let mut deadline = deadline_at;
-    read_exact_deadline(stream, &mut header, &mut deadline, None, stop, true)?;
-    finish_frame(stream, &header, &mut deadline, stop)
-}
-
-/// Writes one frame under a write deadline. A peer that stops draining
-/// its receive buffer (backpressure) fails the write at the deadline
-/// instead of pinning the worker.
-pub fn write_frame(
-    stream: &TcpStream,
-    payload: &[u8],
-    timeout: Duration,
-) -> std::io::Result<()> {
-    stream.set_write_timeout(Some(timeout.max(Duration::from_millis(1))))?;
-    (&*stream).write_all(&encode_frame(payload))?;
-    (&*stream).flush()
+    let mut frame = vec![0u8; FRAME_HEADER];
+    read_exact_by(stream, &mut frame, deadline_at, true)?;
+    // The header alone proves an over-cap length: refuse it before
+    // allocating for or reading the body.
+    scan_frame(&frame)?;
+    let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
+    frame.resize(FRAME_HEADER + len as usize, 0);
+    read_exact_by(stream, &mut frame[FRAME_HEADER..], deadline_at, false)?;
+    scan_frame(&frame)?;
+    Ok(frame.split_off(FRAME_HEADER))
 }
 
 #[cfg(test)]
@@ -1012,16 +794,16 @@ mod tests {
         let payload = Request::Suggest { supported: vec![1, 2, 3], limit: 5 }
             .encode();
         let frame = encode_frame(&payload);
-        let (got, consumed) = decode_frame(&frame).expect("valid frame");
-        assert_eq!(got, &payload[..]);
-        assert_eq!(consumed, frame.len());
+        assert_eq!(scan_frame(&frame).expect("valid frame"), Some(frame.len()));
+        assert_eq!(&frame[FRAME_HEADER..], &payload[..]);
         // Flip any single byte: either the checksum rejects it, or (for
         // length-prefix damage) the frame no longer parses at all. The
         // one admissible outcome of tampering is rejection.
         for i in 0..frame.len() {
             let mut bad = frame.clone();
             bad[i] ^= 0x40;
-            if let Some((p, _)) = decode_frame(&bad) {
+            if let Ok(Some(total)) = scan_frame(&bad) {
+                let p = &bad[FRAME_HEADER..total];
                 panic!("tampered byte {i} still decoded to {p:?}");
             }
         }
@@ -1033,7 +815,7 @@ mod tests {
         bytes.extend_from_slice(&((MAX_FRAME as u32) + 1).to_le_bytes());
         bytes.extend_from_slice(&0u64.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 64]);
-        assert!(decode_frame(&bytes).is_none());
+        assert!(matches!(scan_frame(&bytes), Err(FrameError::TooLarge(_))));
     }
 
     /// Splitmix-style deterministic byte fuzzer (no process randomness:
@@ -1056,7 +838,7 @@ mod tests {
             // Must never panic; almost always None.
             let _ = Request::decode(&bytes);
             let _ = Response::decode(&bytes);
-            let _ = decode_frame(&bytes);
+            let _ = scan_frame(&bytes);
         }
     }
 
@@ -1073,8 +855,8 @@ mod tests {
                 if noise[2].is_multiple_of(4) {
                     bad.truncate(at);
                 }
-                if let Some((payload, _)) = decode_frame(&bad) {
-                    let _ = Request::decode(payload);
+                if let Ok(Some(total)) = scan_frame(&bad) {
+                    let _ = Request::decode(&bad[FRAME_HEADER..total]);
                 }
             }
         }

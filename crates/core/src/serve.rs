@@ -63,6 +63,7 @@ use apistudy_catalog::Api;
 
 use crate::cache::fold_hash;
 use crate::engine::CompletenessEngine;
+use crate::frame::put_frame;
 use crate::journal::{catalog_fingerprint, corpus_fingerprint};
 use crate::metrics::Metrics;
 use crate::planner::greedy_suggestions;
@@ -1157,14 +1158,12 @@ fn pump(token: u64, conn: &mut Conn, shared: &Arc<Shared>) -> Option<Job> {
                 else {
                     return None;
                 };
-                let frame = encode_frame(&payload);
-                conn.wbuf.extend_from_slice(&frame);
+                put_reply(&mut conn.wbuf, &payload);
             }
             Front::WorkInline(payload) => {
                 conn.pending.pop_front();
                 shared.stats.served.fetch_add(1, Ordering::Relaxed);
-                let frame = encode_frame(&payload);
-                conn.wbuf.extend_from_slice(&frame);
+                put_reply(&mut conn.wbuf, &payload);
             }
             Front::WorkJob => {
                 let mut items = Vec::new();
@@ -1192,6 +1191,23 @@ fn pump(token: u64, conn: &mut Conn, shared: &Arc<Shared>) -> Option<Job> {
         }
     }
     None
+}
+
+/// Frames one reply payload onto `out`. Every client's reader refuses a
+/// frame over [`MAX_FRAME`] before reading its body, which would leave
+/// the unread reply queued on the connection, so an over-cap payload is
+/// replaced by a `TooLarge` error naming its size. One length comparison
+/// per reply.
+fn put_reply(out: &mut Vec<u8>, payload: &[u8]) {
+    if payload.len() <= MAX_FRAME {
+        put_frame(out, payload);
+    } else {
+        let msg = format!(
+            "reply of {} bytes exceeds the {MAX_FRAME}-byte frame cap",
+            payload.len()
+        );
+        put_frame(out, &Response::err(ErrorCode::TooLarge, msg).encode());
+    }
 }
 
 /// Write until the socket would block. Compacts the flushed prefix
@@ -1397,7 +1413,7 @@ fn run_job(job: Job, shared: &Shared) -> Done {
         let (payload, after_close) =
             answer_frame(&req, &snap, &mut session, shared);
         shared.stats.served.fetch_add(1, Ordering::Relaxed);
-        bytes.extend_from_slice(&encode_frame(&payload));
+        put_reply(&mut bytes, &payload);
         if after_close {
             close = true;
             break;
@@ -1886,7 +1902,7 @@ impl Client {
     }
 
     fn recv_by(&self, deadline_at: Instant) -> Result<Response, ClientError> {
-        let payload = read_frame_by(&self.stream, deadline_at, &|| false)
+        let payload = read_frame_by(&self.stream, deadline_at)
             .map_err(ClientError::Frame)?;
         Response::decode(&payload).ok_or(ClientError::Protocol)
     }
@@ -1993,7 +2009,6 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{read_frame, write_frame, ReadBudget};
     use apistudy_corpus::Scale;
     use std::io::Read as _;
 
@@ -2311,15 +2326,12 @@ mod tests {
         ));
         // Intact frame, garbage payload: classified reply, connection
         // survives.
-        write_frame(&c.stream, &[0xFFu8, 1, 2, 3], Duration::from_secs(2))
+        (&c.stream)
+            .write_all(&encode_frame(&[0xFFu8, 1, 2, 3]))
             .expect("write");
-        let payload = read_frame(
+        let payload = read_frame_by(
             &c.stream,
-            ReadBudget {
-                idle: Duration::from_secs(2),
-                request: Duration::from_secs(2),
-            },
-            &|| false,
+            Instant::now() + Duration::from_secs(2),
         )
         .expect("reply");
         assert!(matches!(
@@ -2329,6 +2341,44 @@ mod tests {
         let resp = c.call(&Request::Ping).expect("still alive");
         assert!(matches!(resp, Response::Pong { .. }));
 
+        server.shutdown();
+        server.wait();
+    }
+
+    #[test]
+    fn over_cap_reply_becomes_too_large_and_the_connection_survives() {
+        // 64 Suggest plans of 256 picks each encode to a 196,933-byte
+        // reply, three times MAX_FRAME, from an 849-byte request. The
+        // client would refuse that frame unread; the daemon must answer
+        // TooLarge instead and keep the connection in sync.
+        let study =
+            Study::run(Scale { packages: 150, installations: 14_250 }, 2016);
+        let server = Server::start(study, None, test_opts()).expect("start");
+        let mut c = Client::connect(
+            server.addr(),
+            RetryPolicy::default(),
+            Duration::from_secs(120),
+        )
+        .expect("connect");
+        let batch = Request::Batch(
+            (0..MAX_BATCH as u32)
+                .map(|i| Request::Suggest {
+                    supported: vec![i],
+                    limit: MAX_PICKS as u32,
+                })
+                .collect(),
+        );
+        assert!(encode_frame(&batch.encode()).len() <= MAX_FRAME);
+        match c.call(&batch).expect("an answer, not a refused frame") {
+            Response::Err { code: ErrorCode::TooLarge, msg } => {
+                assert!(msg.contains("196933"), "size named: {msg}");
+            }
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
+        assert!(matches!(
+            c.call(&Request::Ping).expect("ping after the refusal"),
+            Response::Pong { .. }
+        ));
         server.shutdown();
         server.wait();
     }
@@ -2344,13 +2394,9 @@ mod tests {
         let last = frame.len() - 1;
         frame[last] ^= 0xFF;
         (&c.stream).write_all(&frame).expect("send");
-        let payload = read_frame(
+        let payload = read_frame_by(
             &c.stream,
-            ReadBudget {
-                idle: Duration::from_secs(2),
-                request: Duration::from_secs(2),
-            },
-            &|| false,
+            Instant::now() + Duration::from_secs(2),
         )
         .expect("reply");
         assert!(matches!(
@@ -2364,13 +2410,9 @@ mod tests {
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
         frame.extend_from_slice(&0u64.to_le_bytes());
         (&c.stream).write_all(&frame).expect("send");
-        let payload = read_frame(
+        let payload = read_frame_by(
             &c.stream,
-            ReadBudget {
-                idle: Duration::from_secs(2),
-                request: Duration::from_secs(2),
-            },
-            &|| false,
+            Instant::now() + Duration::from_secs(2),
         )
         .expect("reply");
         assert!(matches!(
@@ -2393,13 +2435,9 @@ mod tests {
         let frame = encode_frame(&Request::Ping.encode());
         // Dribble one byte, then stall past the request deadline.
         (&c.stream).write_all(&frame[..1]).expect("first byte");
-        let payload = read_frame(
+        let payload = read_frame_by(
             &c.stream,
-            ReadBudget {
-                idle: Duration::from_secs(5),
-                request: Duration::from_secs(5),
-            },
-            &|| false,
+            Instant::now() + Duration::from_secs(5),
         )
         .expect("deadline reply");
         assert!(matches!(
@@ -2435,13 +2473,9 @@ mod tests {
             Duration::from_secs(2),
         )
         .expect("tcp connect");
-        let payload = read_frame(
+        let payload = read_frame_by(
             &second.stream,
-            ReadBudget {
-                idle: Duration::from_secs(2),
-                request: Duration::from_secs(2),
-            },
-            &|| false,
+            Instant::now() + Duration::from_secs(2),
         )
         .expect("busy reply");
         assert!(matches!(

@@ -8,11 +8,12 @@
 //! bits, every `ApiSet` as interner ids over a fingerprint-pinned
 //! universe).
 //!
-//! The framing is the write-ahead journal's, deliberately: a
-//! temp+rename-committed checksummed header binding the file to one
-//! [`RunFingerprint`], then length-prefixed records each carrying a
-//! 64-bit content checksum, with torn tails recovered by truncating back
-//! to the longest valid prefix. No serde. The store has its own magic
+//! The file is a log of the crate's one framing layer (`crate::frame`),
+//! the same one under the write-ahead journal: a temp+rename-committed
+//! checksummed header binding the file to one [`RunFingerprint`], then
+//! frames (length prefix, 64-bit content checksum, payload), with torn
+//! tails recovered by truncating back to the longest valid prefix. No
+//! serde. This module is the record codec on top, with its own magic
 //! (`APSF`) and record schema:
 //!
 //! - **Package** records carry one package's full study output;
@@ -28,30 +29,30 @@
 //! never-cache-errors policy.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use apistudy_analysis::content_hash;
 use apistudy_catalog::{ApiInterner, ApiSet};
 use apistudy_corpus::{Interpreter, MixCensus};
 use apistudy_elf::BinaryClass;
 
-use crate::cache::{put_count, put_string, Cursor};
 use crate::diagnostics::RunDiagnostics;
 use crate::footprint::ApiFootprint;
-use crate::journal::{JournalError, RunFingerprint, RunKind};
+use crate::frame::{
+    put_count, put_frame, put_nr_list, put_string, put_u32, put_u64,
+    Cursor, Log, LogFormat, Replay, MAX_RECORD,
+};
+use crate::journal::{JournalError, RunFingerprint};
 use crate::pipeline::PackageRecord;
 use crate::stream::{PackageAttribution, ShardPartial};
 
-/// Store file magic (distinct from the journal's `APSJ`).
-const MAGIC: &[u8; 4] = b"APSF";
-/// On-disk format version (bump on any layout change).
-const VERSION: u32 = 1;
-/// Sanity bound on one record's payload.
-const MAX_RECORD: usize = 1 << 24;
-/// Header layout: magic(4) version(4) kind(1) fingerprint(8) check(8).
-const HEADER_LEN: usize = 25;
+/// The store's log format: its own magic (distinct from the journal's
+/// `APSJ`), version, and the sysfault sites of its appends.
+const FORMAT: LogFormat = LogFormat {
+    magic: b"APSF",
+    version: 1,
+    write_site: "store.write",
+    fsync_site: "store.fsync",
+};
 
 /// Fixed encoding order for the census's ELF classes.
 const ELF_CLASSES: [BinaryClass; 4] = [
@@ -86,34 +87,13 @@ pub struct StoreStats {
 /// The append-only on-disk footprint store. See the module docs for the
 /// format; [`JournalError`] is reused as the error type since the
 /// failure modes (I/O, bad header, fingerprint mismatch) are identical.
+///
+/// After a failed append the handle fail-stops: every later append
+/// returns [`JournalError::FailStop`], because the on-disk tail is
+/// unknowable, and recovery is reopening via [`FootprintStore::resume`].
 #[derive(Debug)]
 pub struct FootprintStore {
-    file: File,
-    path: PathBuf,
-    /// Set when an append fails; every later append returns
-    /// [`JournalError::FailStop`] — after a failed write or fsync the
-    /// on-disk tail is unknowable, so the handle fail-stops and
-    /// recovery is reopening via [`FootprintStore::resume`].
-    poisoned: bool,
-}
-
-fn header_bytes(fp: &RunFingerprint) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.push(fp.kind.tag());
-    buf.extend_from_slice(&fp.fold().to_le_bytes());
-    let check = content_hash(&buf);
-    buf.extend_from_slice(&check.to_le_bytes());
-    buf
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+    log: Log,
 }
 
 /// Encodes an [`ApiSet`] as its ascending interner ids. The header
@@ -148,42 +128,11 @@ fn get_api_set(c: &mut Cursor<'_>) -> Option<ApiSet> {
     Some(set)
 }
 
-fn put_nr_list(buf: &mut Vec<u8>, nrs: &[u32]) {
-    put_count(buf, nrs.len());
-    for &nr in nrs {
-        put_u32(buf, nr);
-    }
-}
-
-fn get_nr_list(c: &mut Cursor<'_>) -> Option<Vec<u32>> {
-    let count = c.u32()? as usize;
-    if count > MAX_RECORD / 4 {
-        return None;
-    }
-    let mut nrs = Vec::with_capacity(count);
-    for _ in 0..count {
-        nrs.push(c.u32()?);
-    }
-    Some(nrs)
-}
-
 fn put_string_list(buf: &mut Vec<u8>, strings: &[String]) {
     put_count(buf, strings.len());
     for s in strings {
         put_string(buf, s);
     }
-}
-
-fn get_string_list(c: &mut Cursor<'_>) -> Option<Vec<String>> {
-    let count = c.u32()? as usize;
-    if count > MAX_RECORD / 8 {
-        return None;
-    }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(c.string()?);
-    }
-    Some(out)
 }
 
 /// One package's full study output: record fields plus the attribution
@@ -228,8 +177,8 @@ fn decode_package(
     let name = c.string()?;
     let prob = f64::from_bits(c.u64()?);
     let install_count = c.u64()?;
-    let depends = get_string_list(c)?;
-    let script_interpreters = get_string_list(c)?;
+    let depends = c.list(MAX_RECORD / 8, Cursor::string)?;
+    let script_interpreters = c.list(MAX_RECORD / 8, Cursor::string)?;
     let file_counts = (
         c.u32()? as usize,
         c.u32()? as usize,
@@ -244,24 +193,10 @@ fn decode_package(
     };
     let fp_unresolved = c.u32()?;
     let apis = get_api_set(c)?;
-    let lib_count = c.u32()? as usize;
-    if lib_count > MAX_RECORD / 8 {
-        return None;
-    }
-    let mut libs = Vec::with_capacity(lib_count);
-    for _ in 0..lib_count {
-        let soname = c.string()?;
-        let nrs = get_nr_list(c)?;
-        libs.push((soname, nrs));
-    }
-    let exec_count = c.u32()? as usize;
-    if exec_count > MAX_RECORD / 8 {
-        return None;
-    }
-    let mut execs = Vec::with_capacity(exec_count);
-    for _ in 0..exec_count {
-        execs.push(get_nr_list(c)?);
-    }
+    let libs = c.list(MAX_RECORD / 8, |c| {
+        Some((c.string()?, c.nr_list(MAX_RECORD / 4)?))
+    })?;
+    let execs = c.list(MAX_RECORD / 8, |c| c.nr_list(MAX_RECORD / 4))?;
     Some((
         index,
         PackageRecord {
@@ -343,11 +278,46 @@ fn decode_marker(c: &mut Cursor<'_>) -> Option<Marker> {
     })
 }
 
-/// Frames one payload: length prefix, checksum, bytes.
-fn frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&content_hash(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+/// Commits the package records pending before a shard marker into the
+/// replayed shard it describes. The marker must cover exactly the
+/// pending records, contiguously from its start index; anything else is
+/// structural corruption and ends the valid prefix there.
+fn commit_shard(
+    marker: Marker,
+    pending: &mut Vec<(usize, PackageRecord, PackageAttribution)>,
+) -> Option<ShardPartial> {
+    let contiguous = pending.len() == marker.len
+        && pending
+            .iter()
+            .enumerate()
+            .all(|(i, (idx, _, _))| *idx == marker.start + i);
+    if !contiguous {
+        return None;
+    }
+    let mut records = Vec::with_capacity(marker.len);
+    let mut attributions = Vec::with_capacity(marker.len);
+    let mut unresolved_sites = 0u64;
+    for (_, rec, attr) in pending.drain(..) {
+        unresolved_sites += u64::from(rec.unresolved_syscall_sites);
+        records.push(rec);
+        attributions.push(attr);
+    }
+    Some(ShardPartial {
+        shard: marker.shard,
+        start: marker.start,
+        records,
+        attributions,
+        census: marker.census,
+        unresolved_sites,
+        resolved_sites: marker.resolved_sites,
+        // Stored shards are clean by policy; the only diagnostic they
+        // carry is the work count.
+        diagnostics: RunDiagnostics {
+            analyzed_binaries: marker.analyzed_binaries,
+            ..RunDiagnostics::default()
+        },
+        replayed: true,
+    })
 }
 
 impl FootprintStore {
@@ -357,40 +327,47 @@ impl FootprintStore {
         path: &Path,
         fp: &RunFingerprint,
     ) -> Result<Self, JournalError> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&header_bytes(fp))?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Self { file, path: path.to_owned(), poisoned: false })
+        Ok(Self { log: Log::create(path, &FORMAT, fp)? })
     }
 
     /// Opens an existing store for resumption: verifies the header
     /// against `fp`, recovers every complete shard, truncates any torn
     /// or marker-less tail, and returns the recovered partials keyed by
-    /// shard index.
+    /// shard index. The valid prefix advances only past committed
+    /// shards: package records pending without a committing marker — a
+    /// crash mid-shard — are discarded.
     pub fn resume(
         path: &Path,
         fp: &RunFingerprint,
     ) -> Result<(Self, HashMap<usize, ShardPartial>), JournalError> {
-        let bytes = std::fs::read(path)?;
-        let (partials, valid_end) = Self::recover(&bytes, fp)?;
-        let file = OpenOptions::new().write(true).open(path)?;
-        if (valid_end as u64) < bytes.len() as u64 {
-            file.set_len(valid_end as u64)?;
-            file.sync_all()?;
-        }
-        drop(file);
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok((Self { file, path: path.to_owned(), poisoned: false }, partials))
+        let mut partials = HashMap::new();
+        let mut pending = Vec::new();
+        let log = Log::resume(path, &FORMAT, fp, |payload| {
+            let mut c = Cursor::new(payload);
+            match c.u8() {
+                Some(1) => match decode_package(&mut c)
+                    .and_then(|entry| c.finish(entry))
+                {
+                    Some(entry) => {
+                        pending.push(entry);
+                        Replay::Pending
+                    }
+                    None => Replay::Stop,
+                },
+                Some(2) => match decode_marker(&mut c)
+                    .and_then(|m| c.finish(m))
+                    .and_then(|m| commit_shard(m, &mut pending))
+                {
+                    Some(partial) => {
+                        partials.insert(partial.shard, partial);
+                        Replay::Commit
+                    }
+                    None => Replay::Stop,
+                },
+                _ => Replay::Stop,
+            }
+        })?;
+        Ok((Self { log }, partials))
     }
 
     /// Resumes when `path` holds a compatible store, otherwise creates a
@@ -408,143 +385,16 @@ impl FootprintStore {
         }
     }
 
-    /// Scans `bytes` as a store: header validation, then the longest
-    /// prefix of *complete shards*. Package records pending without a
-    /// committing marker — a crash mid-shard — are excluded from the
-    /// valid prefix and truncated by resume.
-    fn recover(
-        bytes: &[u8],
-        fp: &RunFingerprint,
-    ) -> Result<(HashMap<usize, ShardPartial>, usize), JournalError> {
-        let mut c = Cursor { bytes, at: 0 };
-        let magic = c.take(4).ok_or_else(|| {
-            JournalError::Header("file shorter than magic".into())
-        })?;
-        if magic != MAGIC {
-            return Err(JournalError::Header("bad magic".into()));
-        }
-        match c.u32() {
-            Some(VERSION) => {}
-            Some(v) => {
-                return Err(JournalError::Header(format!(
-                    "unsupported version {v} (this build reads {VERSION})"
-                )))
-            }
-            None => {
-                return Err(JournalError::Header("truncated header".into()))
-            }
-        }
-        let kind_tag = c
-            .u8()
-            .ok_or_else(|| JournalError::Header("truncated header".into()))?;
-        let found = c
-            .u64()
-            .ok_or_else(|| JournalError::Header("truncated header".into()))?;
-        let check = c
-            .u64()
-            .ok_or_else(|| JournalError::Header("truncated header".into()))?;
-        if content_hash(&bytes[..HEADER_LEN - 8]) != check {
-            return Err(JournalError::Header("header checksum mismatch".into()));
-        }
-        if RunKind::from_tag(kind_tag).is_none() {
-            return Err(JournalError::Header(format!(
-                "unknown run kind {kind_tag}"
-            )));
-        }
-        let expected = fp.fold();
-        if found != expected {
-            return Err(JournalError::FingerprintMismatch { expected, found });
-        }
-
-        let mut partials = HashMap::new();
-        let mut pending: Vec<(usize, PackageRecord, PackageAttribution)> =
-            Vec::new();
-        // Advances only past committed shards: a marker-less run of
-        // package records never extends the valid prefix.
-        let mut valid_end = c.at;
-        while let Some(len) = c.u32() {
-            let len = len as usize;
-            if len > MAX_RECORD {
-                break;
-            }
-            let Some(check) = c.u64() else { break };
-            let Some(payload) = c.take(len) else { break };
-            if content_hash(payload) != check {
-                break;
-            }
-            let mut pc = Cursor { bytes: payload, at: 0 };
-            match pc.u8() {
-                Some(1) => {
-                    let Some(entry) = decode_package(&mut pc) else { break };
-                    if pc.at != payload.len() {
-                        break;
-                    }
-                    pending.push(entry);
-                }
-                Some(2) => {
-                    let Some(marker) = decode_marker(&mut pc) else { break };
-                    if pc.at != payload.len() {
-                        break;
-                    }
-                    // The marker must commit exactly the pending records,
-                    // contiguously from its start index; anything else is
-                    // structural corruption and ends the prefix here.
-                    let contiguous = pending.len() == marker.len
-                        && pending
-                            .iter()
-                            .enumerate()
-                            .all(|(i, (idx, _, _))| *idx == marker.start + i);
-                    if !contiguous {
-                        break;
-                    }
-                    let mut records = Vec::with_capacity(marker.len);
-                    let mut attributions = Vec::with_capacity(marker.len);
-                    let mut unresolved_sites = 0u64;
-                    for (_, rec, attr) in pending.drain(..) {
-                        unresolved_sites +=
-                            u64::from(rec.unresolved_syscall_sites);
-                        records.push(rec);
-                        attributions.push(attr);
-                    }
-                    partials.insert(
-                        marker.shard,
-                        ShardPartial {
-                            shard: marker.shard,
-                            start: marker.start,
-                            records,
-                            attributions,
-                            census: marker.census,
-                            unresolved_sites,
-                            resolved_sites: marker.resolved_sites,
-                            // Stored shards are clean by policy; the only
-                            // diagnostic they carry is the work count.
-                            diagnostics: RunDiagnostics {
-                                analyzed_binaries: marker.analyzed_binaries,
-                                ..RunDiagnostics::default()
-                            },
-                            replayed: true,
-                        },
-                    );
-                    valid_end = c.at;
-                }
-                _ => break,
-            }
-        }
-        Ok((partials, valid_end))
-    }
-
     /// Appends one completed clean shard: every package record plus the
     /// committing marker, framed individually but written in a single
-    /// `write_all` and fsynced. A crash mid-append tears the tail; resume
-    /// discards any package records not followed by their marker, so the
-    /// store never resurrects half a shard.
+    /// `write_all` and fsynced (callsites `store.write` / `store.fsync`).
+    /// A crash mid-append tears the tail; resume discards any package
+    /// records not followed by their marker, so the store never
+    /// resurrects half a shard.
     pub fn append_shard(
         &mut self,
         partial: &ShardPartial,
     ) -> Result<(), JournalError> {
-        if self.poisoned {
-            return Err(JournalError::FailStop);
-        }
         debug_assert!(
             partial.diagnostics.is_clean(),
             "only clean shards are persisted"
@@ -560,31 +410,22 @@ impl FootprintStore {
         {
             payload.clear();
             encode_package(&mut payload, partial.start + i, rec, attr);
-            frame(&mut out, &payload);
+            put_frame(&mut out, &payload);
         }
         payload.clear();
         encode_marker(&mut payload, partial);
-        frame(&mut out, &payload);
-        if let Err(e) =
-            crate::sys::file_write_all(&self.file, &out, "store.write")
-                .and_then(|()| {
-                    crate::sys::file_sync_data(&self.file, "store.fsync")
-                })
-        {
-            self.poisoned = true;
-            return Err(JournalError::Io(e));
-        }
-        Ok(())
+        put_frame(&mut out, &payload);
+        self.log.append(&out)
     }
 
     /// Whether an append failure has fail-stopped this handle.
     pub fn poisoned(&self) -> bool {
-        self.poisoned
+        self.log.poisoned()
     }
 
     /// Where the store lives.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 }
 
@@ -592,6 +433,7 @@ impl FootprintStore {
 mod tests {
     use super::*;
     use crate::journal::RunKind;
+    use std::path::PathBuf;
 
     fn tmp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -723,6 +565,67 @@ mod tests {
             FootprintStore::resume(&path, &fp()).expect("resume again");
         assert_eq!(partials.len(), 2);
         assert_replay_matches(&partials[&1], &b);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn store_recovery_is_a_prefix_never_a_guess() {
+        // The journal's damage sweep, over a three-shard store: a cut at
+        // every offset and every single-bit flip.
+        let path = tmp_path("sweep");
+        let shards = [
+            sample_partial(0, 0, 2),
+            sample_partial(1, 2, 1),
+            sample_partial(2, 3, 2),
+        ];
+        drop(FootprintStore::create(&path, &fp()).expect("create"));
+        let header_len = std::fs::metadata(&path).unwrap().len() as usize;
+        let mut store = FootprintStore::create(&path, &fp()).expect("create");
+        // Where each shard's marker ends.
+        let mut ends = Vec::new();
+        for shard in &shards {
+            store.append_shard(shard).expect("append");
+            ends.push(std::fs::metadata(&path).unwrap().len() as usize);
+        }
+        drop(store);
+        let full = std::fs::read(&path).unwrap();
+
+        // Damage at byte `at`: inside the header it is refused; anywhere
+        // else exactly the shards whose marker ends at or before it
+        // survive, and the file is truncated to the last of them.
+        let check = |bytes: &[u8], at: usize, what: &str| {
+            std::fs::write(&path, bytes).unwrap();
+            match FootprintStore::resume(&path, &fp()) {
+                Err(JournalError::Header(_)) if at < header_len => {}
+                Ok((store, partials)) if at >= header_len => {
+                    drop(store);
+                    let kept = ends.iter().filter(|&&end| end <= at).count();
+                    assert_eq!(partials.len(), kept, "{what} at {at}");
+                    for shard in &shards[..kept] {
+                        assert_replay_matches(&partials[&shard.shard], shard);
+                    }
+                    let valid_end =
+                        if kept == 0 { header_len } else { ends[kept - 1] };
+                    assert_eq!(
+                        std::fs::metadata(&path).unwrap().len() as usize,
+                        valid_end,
+                        "{what} at {at}: truncated to the valid prefix"
+                    );
+                }
+                Ok(_) => panic!("{what} at {at}: header damage accepted"),
+                Err(e) => panic!("{what} at {at}: {e}"),
+            }
+        };
+        for cut in 0..=full.len() {
+            check(&full[..cut], cut, "cut");
+        }
+        for i in 0..full.len() {
+            for bit in 0..8 {
+                let mut bytes = full.clone();
+                bytes[i] ^= 1 << bit;
+                check(&bytes, i, "bit flip");
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

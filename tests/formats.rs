@@ -32,11 +32,11 @@ fn golden(name: &str) -> Vec<u8> {
         .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-fn scratch(tag: &str) -> PathBuf {
+fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir()
         .join(format!("apistudy-formats-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
 }
 
@@ -99,7 +99,7 @@ fn write_journal(path: &Path) -> Vec<u8> {
 #[test]
 fn golden_journal_resumes_and_rewrites_byte_identical() {
     let want = golden("journal.apsj");
-    let dir = scratch("journal");
+    let dir = tmp_dir("journal");
     let path = dir.join("golden.apsj");
     std::fs::write(&path, &want).expect("stage golden");
     let (journal, records) =
@@ -197,7 +197,7 @@ fn write_store(path: &Path) -> Vec<u8> {
 #[test]
 fn golden_store_resumes_and_rewrites_byte_identical() {
     let want = golden("store.apsf");
-    let dir = scratch("store");
+    let dir = tmp_dir("store");
     let path = dir.join("golden.apsf");
     std::fs::write(&path, &want).expect("stage golden");
     let (store, partials) =
@@ -406,7 +406,7 @@ fn write_cache(dir: &Path) -> Vec<u8> {
 #[test]
 fn golden_cache_shard_loads_and_rewrites_byte_identical() {
     let want = golden("cache-shard.bin");
-    let dir = scratch("cache");
+    let dir = tmp_dir("cache");
     std::fs::write(dir.join(CACHE_SHARD_FILE), &want).expect("stage golden");
     let cache = AnalysisCache::with_dir(CacheMode::Disk, dir.clone());
     for (key, ba) in cache_entries() {
@@ -414,7 +414,7 @@ fn golden_cache_shard_loads_and_rewrites_byte_identical() {
         assert_eq!(*hit, ba);
     }
     assert_eq!(cache.stats().entries, cache_entries().len());
-    let fresh = scratch("cache-fresh");
+    let fresh = tmp_dir("cache-fresh");
     assert_eq!(write_cache(&fresh), want);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&fresh);

@@ -271,13 +271,9 @@ fn chaos_waves_never_panic_and_answers_stay_bit_identical() {
     let mut s = raw_conn(daemon.addr);
     s.write_all(&frame[..1]).expect("first byte");
     let started = Instant::now();
-    let reply = apistudy::core::proto::read_frame(
+    let reply = apistudy::core::read_frame_by(
         &s,
-        apistudy::core::ReadBudget {
-            idle: Duration::from_secs(15),
-            request: Duration::from_secs(15),
-        },
-        &|| false,
+        Instant::now() + Duration::from_secs(15),
     )
     .expect("the daemon must reply before the harness deadline");
     assert!(
@@ -318,13 +314,9 @@ fn chaos_waves_never_panic_and_answers_stay_bit_identical() {
     huge.extend_from_slice(&u32::MAX.to_le_bytes());
     huge.extend_from_slice(&0u64.to_le_bytes());
     s.write_all(&huge).expect("oversize header");
-    let reply = apistudy::core::proto::read_frame(
+    let reply = apistudy::core::read_frame_by(
         &s,
-        apistudy::core::ReadBudget {
-            idle: Duration::from_secs(10),
-            request: Duration::from_secs(10),
-        },
-        &|| false,
+        Instant::now() + Duration::from_secs(10),
     )
     .expect("oversize frames get a reply, not a hang");
     assert!(matches!(
