@@ -20,7 +20,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use apistudy_elf::{BinaryClass, ElfError, ElfFile, Section};
+use apistudy_elf::{BinaryClass, ElfError, ElfFile, PLT_STUB_SIZE};
 use apistudy_x86::{Decoder, Insn, Reg};
 
 use crate::facts::Footprint;
@@ -70,21 +70,101 @@ struct TextView<'a> {
 }
 
 impl TextView<'_> {
+    /// One past the last address of `.text`, clamped to the address space
+    /// (a hostile `sh_addr` near `u64::MAX` must not wrap).
+    fn end(&self) -> u64 {
+        self.addr.saturating_add(self.bytes.len() as u64)
+    }
+
     fn contains(&self, a: u64) -> bool {
-        a >= self.addr && a < self.addr + self.bytes.len() as u64
+        a >= self.addr && a < self.end()
     }
 }
 
-fn read_cstr_at(data: &[u8], base: u64, addr: u64) -> Option<String> {
+/// The PLT: call targets in `.plt` resolve to imports by slot arithmetic.
+struct Plt<'s> {
+    addr: u64,
+    end: u64,
+    /// The import behind each stub, in stub order.
+    imports: Vec<&'s str>,
+}
+
+impl Plt<'_> {
+    fn contains(&self, a: u64) -> bool {
+        a >= self.addr && a < self.end
+    }
+
+    /// The import whose stub starts at `a`, which lies in the PLT.
+    fn import_at(&self, a: u64) -> Option<&str> {
+        let (off, stub) = (a - self.addr, PLT_STUB_SIZE as u64);
+        if !off.is_multiple_of(stub) {
+            return None;
+        }
+        self.imports.get(usize::try_from(off / stub).ok()?).copied()
+    }
+}
+
+/// Register constants known at the current instruction, by register
+/// number.
+#[derive(Default)]
+struct Regs([Option<u64>; 16]);
+
+impl Regs {
+    fn get(&self, r: Reg) -> Option<u64> {
+        self.0[usize::from(r.0 & 0xf)]
+    }
+
+    fn set(&mut self, r: Reg, value: u64) {
+        self.0[usize::from(r.0 & 0xf)] = Some(value);
+    }
+
+    fn forget(&mut self, r: Reg) {
+        self.0[usize::from(r.0 & 0xf)] = None;
+    }
+
+    fn clear(&mut self) {
+        self.0 = [None; 16];
+    }
+
+    /// A call clobbers the caller-saved registers.
+    fn clobber_call(&mut self) {
+        for r in CALLER_SAVED {
+            self.forget(Reg(r));
+        }
+    }
+}
+
+/// Records a referenced import, allocating its name only the first time.
+fn note_import(facts: &mut Footprint, sym: &str) {
+    if !facts.imports.contains(sym) {
+        facts.imports.insert(sym.to_owned());
+    }
+}
+
+/// Records the operand of a vectored call (`ioctl`, `fcntl`, `prctl`,
+/// given by system call number) from its argument register, or counts
+/// the site unresolved. Other numbers are not vectored.
+fn record_vectored(facts: &mut Footprint, nr: u64, regs: &Regs) {
+    let (codes, arg) = match nr {
+        SYS_IOCTL => (&mut facts.ioctl_codes, Reg::RSI),
+        SYS_FCNTL => (&mut facts.fcntl_codes, Reg::RSI),
+        SYS_PRCTL => (&mut facts.prctl_codes, Reg::RDI),
+        _ => return,
+    };
+    match regs.get(arg) {
+        Some(code) => {
+            codes.insert(code);
+        }
+        None => facts.unresolved_vectored_sites += 1,
+    }
+}
+
+fn read_cstr_at(data: &[u8], base: u64, addr: u64) -> Option<&str> {
     let off = addr.checked_sub(base)? as usize;
     let rest = data.get(off..)?;
     let end = rest.iter().position(|&b| b == 0)?;
     let s = std::str::from_utf8(&rest[..end]).ok()?;
-    if s.chars().all(|c| c.is_ascii_graphic() || c == ' ') {
-        Some(s.to_owned())
-    } else {
-        None
-    }
+    s.chars().all(|c| c.is_ascii_graphic() || c == ' ').then_some(s)
 }
 
 /// Registers clobbered by a call under the System V AMD64 ABI.
@@ -209,23 +289,24 @@ impl BinaryAnalysis {
         let soname = elf.soname()?;
         let needed = elf.needed_libraries()?;
 
-        let text_sec = elf.section_by_name(".text").cloned();
-        let text = match &text_sec {
+        let text = match elf.section_by_name(".text") {
             Some(s) => TextView { bytes: elf.section_data(s)?, addr: s.addr },
             None => TextView { bytes: &[], addr: 0 },
         };
-        let rodata_sec = elf.section_by_name(".rodata").cloned();
-        let (ro_bytes, ro_addr) = match &rodata_sec {
+        let (ro_bytes, ro_addr) = match elf.section_by_name(".rodata") {
             Some(s) => (elf.section_data(s)?, s.addr),
             None => (&[][..], 0),
         };
-        let plt_sec: Option<Section> = elf.section_by_name(".plt").cloned();
-        let plt_range = plt_sec
-            .as_ref()
-            .map(|s| (s.addr, s.addr + s.size))
-            .unwrap_or((0, 0));
-        let plt_by_addr: HashMap<u64, String> =
-            elf.plt_map()?.into_iter().collect();
+        // `.dynsym` is parsed once, for the PLT and the export table; a
+        // parse error surfaces at the first of the two that needs it.
+        let dynsyms = elf.dynsym();
+        let plt = {
+            let (addr, end) = elf
+                .section_by_name(".plt")
+                .map_or((0, 0), |s| (s.addr, s.addr.saturating_add(s.size)));
+            let imports = elf.plt_imports(dynsyms.as_deref())?;
+            Plt { addr, end, imports: imports.iter().map(|s| s.name.as_str()).collect() }
+        };
 
         // ---- Function discovery -------------------------------------
         let mut starts: Vec<(u64, u64, String)> = Vec::new();
@@ -247,87 +328,61 @@ impl BinaryAnalysis {
                 actual: starts.len() as u64,
             });
         }
-        // Fix zero/overlapping sizes: clamp each function to the next start.
+        let addrs: Vec<u64> = starts.iter().map(|&(a, _, _)| a).collect();
+        // Fix zero/overlapping sizes: clamp each function to the next
+        // start. Saturating, so a hostile `st_size` cannot wrap the end
+        // below the start.
         let ends: Vec<u64> = starts
             .iter()
             .enumerate()
             .map(|(i, &(a, sz, _))| {
-                let next = starts
-                    .get(i + 1)
-                    .map(|&(n, _, _)| n)
-                    .unwrap_or(text.addr + text.bytes.len() as u64);
+                let next = addrs.get(i + 1).copied().unwrap_or_else(|| text.end());
                 if sz == 0 {
                     next
                 } else {
-                    (a + sz).min(next)
+                    a.saturating_add(sz).min(next)
                 }
             })
             .collect();
-
-        let index_of_addr: HashMap<u64, usize> = starts
-            .iter()
-            .enumerate()
-            .map(|(i, &(a, _, _))| (a, i))
-            .collect();
+        let func_at = |target: u64| addrs.binary_search(&target).ok();
 
         // ---- Per-function scan --------------------------------------
         let mut instructions: u64 = 0;
         let mut funcs = Vec::with_capacity(starts.len());
-        for (i, &(addr, _, ref name)) in starts.iter().enumerate() {
+        for (i, (addr, _, name)) in starts.into_iter().enumerate() {
             let end = ends[i];
             let lo = (addr - text.addr) as usize;
             let hi = ((end - text.addr) as usize).min(text.bytes.len());
             let body = &text.bytes[lo..hi.max(lo)];
             let mut facts = Footprint::new();
             let mut calls = BTreeSet::new();
-
-            // Register constant state within the function.
-            let mut regs: HashMap<u8, u64> = HashMap::new();
-            let clobber_call = |regs: &mut HashMap<u8, u64>| {
-                for r in CALLER_SAVED {
-                    regs.remove(&r);
-                }
-            };
+            let mut regs = Regs::default();
 
             let record_call_target = |target: u64,
-                                          regs: &mut HashMap<u8, u64>,
+                                          regs: &Regs,
                                           facts: &mut Footprint,
                                           calls: &mut BTreeSet<usize>| {
-                if target >= plt_range.0 && target < plt_range.1 {
-                    if let Some(sym) = plt_by_addr.get(&target) {
-                        facts.imports.insert(sym.clone());
-                        // Vectored libc wrappers: capture the opcode
-                        // argument; `syscall(3)` takes the number in rdi.
-                        match sym.as_str() {
-                            _ if !options.track_vectored => {}
-                            "ioctl" => match regs.get(&Reg::RSI.0) {
-                                Some(&c) => {
-                                    facts.ioctl_codes.insert(c);
-                                }
-                                None => facts.unresolved_vectored_sites += 1,
-                            },
-                            "fcntl" => match regs.get(&Reg::RSI.0) {
-                                Some(&c) => {
-                                    facts.fcntl_codes.insert(c);
-                                }
-                                None => facts.unresolved_vectored_sites += 1,
-                            },
-                            "prctl" => match regs.get(&Reg::RDI.0) {
-                                Some(&c) => {
-                                    facts.prctl_codes.insert(c);
-                                }
-                                None => facts.unresolved_vectored_sites += 1,
-                            },
-                            "syscall" => match regs.get(&Reg::RDI.0) {
-                                Some(&nr) => {
-                                    facts.syscalls.insert(nr as u32);
-                                }
-                                None => facts.unresolved_syscall_sites += 1,
-                            },
-                            _ => {}
-                        }
+                if plt.contains(target) {
+                    let Some(sym) = plt.import_at(target) else { return };
+                    note_import(facts, sym);
+                    // Vectored libc wrappers: capture the opcode argument;
+                    // `syscall(3)` takes the number in rdi.
+                    if !options.track_vectored {
+                        return;
                     }
-                } else if let Some(&idx) = index_of_addr.get(&target) {
+                    match sym {
+                        "ioctl" => record_vectored(facts, SYS_IOCTL, regs),
+                        "fcntl" => record_vectored(facts, SYS_FCNTL, regs),
+                        "prctl" => record_vectored(facts, SYS_PRCTL, regs),
+                        "syscall" => match regs.get(Reg::RDI) {
+                            Some(nr) => {
+                                facts.syscalls.insert(nr as u32);
+                            }
+                            None => facts.unresolved_syscall_sites += 1,
+                        },
+                        _ => {}
+                    }
+                } else if let Some(idx) = func_at(target) {
                     calls.insert(idx);
                 }
             };
@@ -337,59 +392,30 @@ impl BinaryAnalysis {
                 addr,
                 options.decode_budget.saturating_sub(instructions),
             );
-            for d in decoder.by_ref() {
+            while let Some(d) = decoder.next() {
                 match d.insn {
-                    Insn::MovImm { reg, imm } => {
-                        regs.insert(reg.0, imm);
-                    }
-                    Insn::XorSelf { reg } => {
-                        regs.insert(reg.0, 0);
-                    }
+                    Insn::MovImm { reg, imm } => regs.set(reg, imm),
+                    Insn::XorSelf { reg } => regs.set(reg, 0),
                     Insn::Syscall | Insn::Int { vector: 0x80 } | Insn::Sysenter => {
-                        match regs.get(&Reg::RAX.0).copied() {
+                        match regs.get(Reg::RAX) {
                             Some(nr) => {
                                 facts.syscalls.insert(nr as u32);
-                                match nr {
-                                    _ if !options.track_vectored => {}
-                                    SYS_IOCTL => match regs.get(&Reg::RSI.0) {
-                                        Some(&c) => {
-                                            facts.ioctl_codes.insert(c);
-                                        }
-                                        None => {
-                                            facts.unresolved_vectored_sites += 1
-                                        }
-                                    },
-                                    SYS_FCNTL => match regs.get(&Reg::RSI.0) {
-                                        Some(&c) => {
-                                            facts.fcntl_codes.insert(c);
-                                        }
-                                        None => {
-                                            facts.unresolved_vectored_sites += 1
-                                        }
-                                    },
-                                    SYS_PRCTL => match regs.get(&Reg::RDI.0) {
-                                        Some(&c) => {
-                                            facts.prctl_codes.insert(c);
-                                        }
-                                        None => {
-                                            facts.unresolved_vectored_sites += 1
-                                        }
-                                    },
-                                    _ => {}
+                                if options.track_vectored {
+                                    record_vectored(&mut facts, nr, &regs);
                                 }
                             }
                             None => facts.unresolved_syscall_sites += 1,
                         }
                         // The kernel clobbers rax (return value) and
                         // rcx/r11 (syscall instruction).
-                        regs.remove(&0);
-                        regs.remove(&1);
-                        regs.remove(&11);
+                        regs.forget(Reg::RAX);
+                        regs.forget(Reg::RCX);
+                        regs.forget(Reg::R11);
                     }
                     Insn::Int { .. } => {}
                     Insn::CallRel { target } => {
-                        record_call_target(target, &mut regs, &mut facts, &mut calls);
-                        clobber_call(&mut regs);
+                        record_call_target(target, &regs, &mut facts, &mut calls);
+                        regs.clobber_call();
                     }
                     Insn::JmpRel { target } | Insn::Jcc { target } => {
                         // Tail calls / shared epilogues: a jump that leaves
@@ -397,44 +423,36 @@ impl BinaryAnalysis {
                         if options.tail_call_edges
                             && !(addr..end).contains(&target)
                         {
-                            record_call_target(
-                                target, &mut regs, &mut facts, &mut calls,
-                            );
+                            record_call_target(target, &regs, &mut facts, &mut calls);
                         }
                     }
                     Insn::LeaRip { reg, target } => {
-                        if let Some(&idx) = index_of_addr.get(&target) {
+                        if let Some(idx) = func_at(target) {
                             // Function-pointer formation: assume it will be
                             // called (paper's over-approximation).
                             if options.function_pointer_edges {
                                 calls.insert(idx);
                             }
-                            regs.remove(&reg.0);
-                        } else if target >= plt_range.0 && target < plt_range.1 {
-                            if let Some(sym) = plt_by_addr.get(&target) {
-                                facts.imports.insert(sym.clone());
+                        } else if plt.contains(target) {
+                            if let Some(sym) = plt.import_at(target) {
+                                note_import(&mut facts, sym);
                             }
-                            regs.remove(&reg.0);
-                        } else if !ro_bytes.is_empty() {
-                            if let Some(s) =
-                                read_cstr_at(ro_bytes, ro_addr, target)
-                            {
-                                if s.starts_with('/') {
-                                    facts.paths.insert(s);
-                                }
+                        } else if let Some(s) = read_cstr_at(ro_bytes, ro_addr, target) {
+                            if s.starts_with('/') {
+                                facts.paths.insert(s.to_owned());
                             }
-                            regs.remove(&reg.0);
-                        } else {
-                            regs.remove(&reg.0);
                         }
+                        regs.forget(reg);
                     }
-                    Insn::CallIndirect => {
-                        clobber_call(&mut regs);
+                    Insn::CallIndirect => regs.clobber_call(),
+                    Insn::JmpIndirect => {}
+                    Insn::Other => {
+                        // `int3` decodes as `Other`: consume the rest of an
+                        // inter-function padding run in one step (each
+                        // byte still counts against the decode budget).
+                        decoder.skip_int3_run();
                     }
-                    Insn::JmpIndirect | Insn::Other => {}
-                    Insn::Ret => {
-                        regs.clear();
-                    }
+                    Insn::Ret => regs.clear(),
                     Insn::Unknown => {
                         // Lost instruction-stream sync: drop all knowledge.
                         regs.clear();
@@ -450,20 +468,14 @@ impl BinaryAnalysis {
                 });
             }
 
-            funcs.push(FuncInfo {
-                name: name.clone(),
-                addr,
-                size: end - addr,
-                facts,
-                calls,
-            });
+            funcs.push(FuncInfo { name, addr, size: end - addr, facts, calls });
         }
 
         // ---- Exports and entry ---------------------------------------
         let mut exports = HashMap::new();
-        for sym in elf.dynsym()? {
+        for sym in dynsyms? {
             if sym.is_defined_func() {
-                if let Some(&idx) = index_of_addr.get(&sym.value) {
+                if let Some(idx) = func_at(sym.value) {
                     exports.insert(sym.name, idx);
                 }
             }

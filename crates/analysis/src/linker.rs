@@ -8,11 +8,12 @@
 //!
 //! The paper implements this step as recursive SQL aggregation over a
 //! Postgres database; here it is an explicit strongly-connected-component
-//! condensation over the global function graph, computed once, after which
-//! every executable resolves in time proportional to its own reachable set.
+//! condensation over the global function graph, computed once, on the
+//! first query, after which every executable resolves in time proportional
+//! to its own reachable set.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::binary::BinaryAnalysis;
 use crate::facts::Footprint;
@@ -24,15 +25,18 @@ type Node = u32;
 ///
 /// Usage: [`Linker::add_library`] every shared library, then [`Linker::seal`]
 /// once, then query [`Linker::resolve_executable`] /
-/// [`Linker::resolve_export`] any number of times.
+/// [`Linker::resolve_export`] any number of times. The first query
+/// condenses the function graph; a sealed linker nobody queries (a run
+/// whose every footprint came from a cache) never builds it.
 #[derive(Debug, Default)]
 pub struct Linker {
     libs: Vec<Arc<BinaryAnalysis>>,
     by_soname: HashMap<String, usize>,
     /// Per-library node-id base offset.
     node_base: Vec<u32>,
-    /// Closed footprint per node (shared within an SCC).
-    closed: Vec<Arc<Footprint>>,
+    /// Closed footprint per node (shared within an SCC), computed by the
+    /// first query after [`Linker::seal`].
+    closed: OnceLock<Vec<Arc<Footprint>>>,
     sealed: bool,
 }
 
@@ -113,19 +117,30 @@ impl Linker {
         None
     }
 
-    /// Builds the global function graph, condenses it (iterative Tarjan),
-    /// and computes the closed footprint of every library function.
+    /// Ends registration and numbers the global function graph's nodes.
+    /// The graph itself is built and condensed by the first query.
     pub fn seal(&mut self) {
         assert!(!self.sealed, "seal() called twice");
         self.sealed = true;
-
-        // Node numbering.
         self.node_base = Vec::with_capacity(self.libs.len());
         let mut total: u32 = 0;
         for lib in &self.libs {
             self.node_base.push(total);
             total += lib.funcs.len() as u32;
         }
+    }
+
+    /// The closed footprint of every node, computed once, by whichever
+    /// query comes first.
+    fn closed(&self) -> &[Arc<Footprint>] {
+        assert!(self.sealed, "seal() the linker first");
+        self.closed.get_or_init(|| self.condense())
+    }
+
+    /// Builds the global function graph, condenses it (iterative Tarjan),
+    /// and computes the closed footprint of every library function.
+    fn condense(&self) -> Vec<Arc<Footprint>> {
+        let total: u32 = self.libs.iter().map(|lib| lib.funcs.len() as u32).sum();
         let node_of = |lib: usize, func: usize| -> Node {
             self.node_base[lib] + func as u32
         };
@@ -249,9 +264,9 @@ impl Linker {
             scc_closed.push(Arc::new(fp));
         }
 
-        self.closed = (0..n)
+        (0..n)
             .map(|v| Arc::clone(&scc_closed[scc_of[v] as usize]))
-            .collect();
+            .collect()
     }
 
     /// Maps a node id back to `(library index, function index)`.
@@ -275,10 +290,10 @@ impl Linker {
     /// The closed footprint of a library export: everything reachable from
     /// it across the whole library graph. `None` when unknown.
     pub fn resolve_export(&self, soname: &str, symbol: &str) -> Option<&Footprint> {
-        assert!(self.sealed, "seal() the linker first");
+        let closed = self.closed();
         let &li = self.by_soname.get(soname)?;
         let fi = self.libs[li].export(symbol)?;
-        Some(&self.closed[(self.node_base[li] + fi as u32) as usize])
+        Some(&closed[(self.node_base[li] + fi as u32) as usize])
     }
 
     /// The closed footprint of an executable: its entry-reachable own facts
@@ -288,14 +303,14 @@ impl Linker {
     /// The returned footprint's `imports` records every referenced dynamic
     /// symbol (from the executable and the libraries it pulls in).
     pub fn resolve_executable(&self, ba: &BinaryAnalysis) -> Footprint {
-        assert!(self.sealed, "seal() the linker first");
+        let closed = self.closed();
         let mut out = ba.entry_facts();
         let closure = self.needed_closure(&ba.needed);
         let imports: Vec<String> = out.imports.iter().cloned().collect();
         for imp in imports {
             if let Some((li, fi)) = self.resolve_symbol(&closure, &imp) {
                 let node = (self.node_base[li] + fi as u32) as usize;
-                out.merge(&self.closed[node]);
+                out.merge(&closed[node]);
             }
         }
         out
@@ -305,13 +320,13 @@ impl Linker {
     /// (used when an interpreter package's footprint stands in for its
     /// scripts, paper §2.3).
     pub fn resolve_whole_library(&self, soname: &str) -> Option<Footprint> {
-        assert!(self.sealed, "seal() the linker first");
+        let closed = self.closed();
         let &li = self.by_soname.get(soname)?;
         let lib = &self.libs[li];
         let mut out = Footprint::new();
         for &fi in lib.exports.values() {
             let node = (self.node_base[li] + fi as u32) as usize;
-            out.merge(&self.closed[node]);
+            out.merge(&closed[node]);
         }
         Some(out)
     }

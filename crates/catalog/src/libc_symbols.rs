@@ -19,6 +19,7 @@
 //!    [`GLIBC_2_21_SYMBOL_COUNT`].
 
 use std::collections::HashMap;
+use std::sync::{Arc, LazyLock};
 
 /// Number of global function symbols exported by glibc 2.21 (paper §3.5).
 pub const GLIBC_2_21_SYMBOL_COUNT: usize = 1274;
@@ -474,17 +475,24 @@ fn nominal_size(name: &str) -> u32 {
     32 + (h % 2048) as u32
 }
 
-/// The reconstructed glibc 2.21 exported-function inventory.
+/// The reconstructed glibc 2.21 exported-function inventory. Immutable,
+/// so copies share one table.
 #[derive(Debug, Clone)]
 pub struct LibcInventory {
-    symbols: Vec<LibcSymbol>,
-    by_name: HashMap<String, u32>,
+    symbols: Arc<[LibcSymbol]>,
+    by_name: Arc<HashMap<String, u32>>,
 }
 
 impl LibcInventory {
-    /// Builds the glibc 2.21 inventory: all curated names plus the synthetic
-    /// internal tail, totalling exactly [`GLIBC_2_21_SYMBOL_COUNT`].
+    /// The glibc 2.21 inventory: all curated names plus the synthetic
+    /// internal tail, totalling exactly [`GLIBC_2_21_SYMBOL_COUNT`]. Built
+    /// once per process; every call shares it.
     pub fn glibc_2_21() -> Self {
+        static GLIBC_2_21: LazyLock<LibcInventory> = LazyLock::new(LibcInventory::build);
+        GLIBC_2_21.clone()
+    }
+
+    fn build() -> Self {
         let mut symbols = Vec::with_capacity(GLIBC_2_21_SYMBOL_COUNT);
         let mut by_name = HashMap::with_capacity(GLIBC_2_21_SYMBOL_COUNT);
         for fam in FAMILIES {
@@ -517,7 +525,7 @@ impl LibcInventory {
             });
             i += 1;
         }
-        Self { symbols, by_name }
+        Self { symbols: symbols.into(), by_name: Arc::new(by_name) }
     }
 
     /// Number of symbols (always [`GLIBC_2_21_SYMBOL_COUNT`] for

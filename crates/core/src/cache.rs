@@ -60,7 +60,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use apistudy_analysis::{content_hash, BinaryAnalysis, Footprint, FuncInfo};
@@ -213,6 +213,11 @@ pub struct AnalysisCache {
     fp_hits: AtomicU64,
     fp_misses: AtomicU64,
     evictions: AtomicU64,
+    /// Per shard: whether its file may not hold exactly its resident
+    /// entries. Set by every insert; cleared when [`Self::persist`]
+    /// writes the file, or when the file loads whole into an empty shard
+    /// (a missing or damaged file stays unsaved, so persist heals it).
+    unsaved: Vec<AtomicBool>,
     /// Where [`CacheMode::Disk`] reads and writes its file.
     dir: PathBuf,
 }
@@ -243,6 +248,7 @@ impl AnalysisCache {
             fp_hits: AtomicU64::new(0),
             fp_misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            unsaved: (0..SHARDS).map(|_| AtomicBool::new(true)).collect(),
             dir,
         };
         if cache.mode == CacheMode::Disk {
@@ -313,6 +319,7 @@ impl AnalysisCache {
             }
         }
         shard.insert(key, ba);
+        self.unsaved[key.shard()].store(true, Ordering::Relaxed);
     }
 
     /// Looks up a resolved executable footprint (the derived level).
@@ -382,8 +389,11 @@ impl AnalysisCache {
     /// place, so a crashed writer clobbers nothing — the loader either
     /// sees the previous complete file or the new complete file. Each
     /// entry's payload carries a [`content_hash`] checksum so later
-    /// damage is detected per entry, not per file. Returns the cache
-    /// directory.
+    /// damage is detected per entry, not per file. A shard nothing was
+    /// inserted into since this cache wrote its file, or loaded it whole,
+    /// is skipped: that file already holds its entries, so a sweep that
+    /// persists after every point pays only for the shards it changed.
+    /// Returns the cache directory.
     pub fn persist(&self) -> std::io::Result<Option<PathBuf>> {
         if self.mode != CacheMode::Disk {
             return Ok(None);
@@ -392,6 +402,11 @@ impl AnalysisCache {
         for (si, shard) in self.shards.iter().enumerate() {
             let mut entries: Vec<(CacheKey, Arc<BinaryAnalysis>)> = {
                 let guard = shard.read().unwrap_or_else(|e| e.into_inner());
+                // Cleared under the lock inserts take, so an insert after
+                // this snapshot marks the shard unsaved again.
+                if !self.unsaved[si].swap(false, Ordering::Relaxed) {
+                    continue;
+                }
                 guard.iter().map(|(k, v)| (*k, Arc::clone(v))).collect()
             };
             // Deterministic file contents for a given entry set.
@@ -409,7 +424,10 @@ impl AnalysisCache {
                 put_u64(&mut buf, content_hash(&payload));
                 buf.extend_from_slice(&payload);
             }
-            write_atomic(&self.shard_path(si), &buf)?;
+            if let Err(e) = write_atomic(&self.shard_path(si), &buf) {
+                self.unsaved[si].store(true, Ordering::Relaxed);
+                return Err(e);
+            }
         }
         Ok(Some(self.dir.clone()))
     }
@@ -425,35 +443,45 @@ impl AnalysisCache {
             let Ok(bytes) = std::fs::read(self.shard_path(si)) else {
                 continue;
             };
-            self.load_shard_file(&bytes);
+            let empty = self.shards[si]
+                .read()
+                .unwrap_or_else(|e| e.into_inner())
+                .is_empty();
+            if self.load_shard_file(si, &bytes) && empty {
+                self.unsaved[si].store(false, Ordering::Relaxed);
+            }
         }
     }
 
-    /// Decodes one persisted shard file, salvaging around bad entries.
-    fn load_shard_file(&self, bytes: &[u8]) {
+    /// Decodes shard `si`'s persisted file, salvaging around bad entries.
+    /// Returns whether it loaded whole: every entry intact, filed in its
+    /// own shard and kept, and nothing after the last one.
+    fn load_shard_file(&self, si: usize, bytes: &[u8]) -> bool {
         let mut c = Cursor::new(bytes);
-        let Some(magic) = c.take(4) else { return };
+        let Some(magic) = c.take(4) else { return false };
         if magic != MAGIC {
-            return;
+            return false;
         }
         if c.u32() != Some(VERSION) {
-            return;
+            return false;
         }
-        let Some(count) = c.u64() else { return };
+        let Some(count) = c.u64() else { return false };
+        let mut whole = true;
         for _ in 0..count {
-            let Some(content) = c.u64() else { return };
-            let Some(options) = c.u64() else { return };
-            let Some(len) = c.u64() else { return };
+            let Some(content) = c.u64() else { return false };
+            let Some(options) = c.u64() else { return false };
+            let Some(len) = c.u64() else { return false };
             if len > MAX_DISK_ENTRY {
                 // The framing itself is untrustworthy: abandon the file
                 // (everything salvaged so far decoded cleanly and stays).
-                return;
+                return false;
             }
-            let Some(check) = c.u64() else { return };
-            let Some(payload) = c.take(len as usize) else { return };
+            let Some(check) = c.u64() else { return false };
+            let Some(payload) = c.take(len as usize) else { return false };
             if content_hash(payload) != check {
                 // Damaged entry: the length prefix already stepped past
                 // it, so the remainder of the file is still salvageable.
+                whole = false;
                 continue;
             }
             let mut pc = Cursor::new(payload);
@@ -462,16 +490,25 @@ impl AnalysisCache {
             let Some(ba) =
                 decode_analysis(&mut pc).and_then(|ba| pc.finish(ba))
             else {
+                whole = false;
                 continue;
             };
             let key = CacheKey { content, options };
+            if key.shard() != si {
+                // Filed in the wrong shard: its own shard's file lacks it.
+                whole = false;
+                self.unsaved[key.shard()].store(true, Ordering::Relaxed);
+            }
             let mut shard = self.shards[key.shard()]
                 .write()
                 .unwrap_or_else(|e| e.into_inner());
             if shard.len() < SHARD_CAPACITY {
                 shard.insert(key, Arc::new(ba));
+            } else {
+                whole = false;
             }
         }
+        whole && c.finish(()).is_some()
     }
 }
 
@@ -835,6 +872,77 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let cold = AnalysisCache::with_dir(CacheMode::Disk, dir.clone());
         let _ = cold.get(key); // may or may not hit depending on cut point
+        clear_disk_cache(&dir).ok();
+        std::fs::remove_dir(&dir).ok();
+    }
+
+    #[test]
+    fn persist_rewrites_only_shards_changed_since_their_last_write() {
+        let dir = std::env::temp_dir()
+            .join(format!("apistudy-cache-unsaved-{}", std::process::id()));
+        clear_disk_cache(&dir).ok();
+        let (a, b) = (
+            CacheKey { content: 0, options: 0 },
+            CacheKey { content: 1, options: 0 },
+        );
+        assert_ne!(a.shard(), b.shard());
+        let cache = AnalysisCache::with_dir(CacheMode::Disk, dir.clone());
+        cache.insert(a, Arc::new(sample_analysis()));
+        cache.persist().expect("persist");
+        assert!(
+            cache.disk_paths().iter().all(|p| p.exists()),
+            "the first persist writes every shard"
+        );
+        // Remove both files: the next persist shows which it rewrites.
+        std::fs::remove_file(cache.shard_path(a.shard())).unwrap();
+        std::fs::remove_file(cache.shard_path(b.shard())).unwrap();
+        cache.insert(b, Arc::new(sample_analysis()));
+        cache.persist().expect("persist");
+        assert!(
+            !cache.shard_path(a.shard()).exists(),
+            "a shard unchanged since its last write is skipped"
+        );
+        let warm = AnalysisCache::with_dir(CacheMode::Disk, dir.clone());
+        assert!(warm.get(b).is_some(), "the changed shard is rewritten");
+        assert!(warm.get(a).is_none());
+        clear_disk_cache(&dir).ok();
+        std::fs::remove_dir(&dir).ok();
+    }
+
+    #[test]
+    fn persist_skips_files_that_loaded_whole_and_heals_the_rest() {
+        let dir = std::env::temp_dir()
+            .join(format!("apistudy-cache-heal-{}", std::process::id()));
+        clear_disk_cache(&dir).ok();
+        let (a, b) = (
+            CacheKey { content: 0, options: 0 },
+            CacheKey { content: 1, options: 0 },
+        );
+        let cache = AnalysisCache::with_dir(CacheMode::Disk, dir.clone());
+        cache.insert(a, Arc::new(sample_analysis()));
+        cache.insert(b, Arc::new(sample_analysis()));
+        cache.persist().expect("persist");
+        // Trailing garbage after b's file: its entries still load, but
+        // the file is not what persist writes.
+        let b_path = cache.shard_path(b.shard());
+        let clean = std::fs::read(&b_path).unwrap();
+        let mut damaged = clean.clone();
+        damaged.push(0xEE);
+        std::fs::write(&b_path, &damaged).unwrap();
+
+        let warm = AnalysisCache::with_dir(CacheMode::Disk, dir.clone());
+        assert!(warm.get(a).is_some() && warm.get(b).is_some());
+        std::fs::remove_file(warm.shard_path(a.shard())).unwrap();
+        warm.persist().expect("persist");
+        assert!(
+            !warm.shard_path(a.shard()).exists(),
+            "a file that loaded whole is not rewritten"
+        );
+        assert_eq!(
+            std::fs::read(&b_path).unwrap(),
+            clean,
+            "a damaged file is rewritten"
+        );
         clear_disk_cache(&dir).ok();
         std::fs::remove_dir(&dir).ok();
     }

@@ -17,7 +17,7 @@ use std::collections::HashSet;
 use std::path::Path;
 
 use apistudy_analysis::AnalysisOptions;
-use apistudy_catalog::{ApiKind, Catalog};
+use apistudy_catalog::{ApiKind, ApiSet, Catalog};
 use apistudy_corpus::{FaultPlan, SynthRepo};
 use apistudy_report::{pct, Align, TextTable};
 
@@ -26,7 +26,10 @@ use crate::journal::{
     catalog_fingerprint, corpus_fingerprint, Journal, JournalError,
     JournalRecord, JournalStats, RunFingerprint, RunKind,
 };
-use crate::{metrics::Metrics, pipeline::StudyData};
+use crate::{
+    metrics::{weighted_completeness_unindexed, Metrics},
+    pipeline::{materialize, StudyData},
+};
 
 /// How many of the clean baseline's top-ranked syscalls form the fixed
 /// support set whose weighted completeness the sweep tracks (the paper's
@@ -96,7 +99,7 @@ pub fn corruption_sweep_with(
     // instead of re-synthesizing them, which costs over an order of
     // magnitude more. The memory price is the corpus's byte size (a few
     // MiB at test scale), paid once instead of regenerated per point.
-    let packages = repo.materialize_all();
+    let packages = materialize(repo);
     let baseline =
         StudyData::from_packages_cached(repo, &packages, options, Some(cache));
     let baseline_metrics = Metrics::new(&baseline);
@@ -225,7 +228,7 @@ pub fn corruption_sweep_journaled(
         return Ok((points, journal.stats()));
     }
 
-    let packages = repo.materialize_all();
+    let packages = materialize(repo);
     let support_numbers = match support_numbers {
         Some(numbers) => numbers,
         None => {
@@ -278,13 +281,13 @@ pub fn corruption_sweep_journaled(
 fn measure(
     rate: f64,
     data: &StudyData,
-    unsupported: &apistudy_catalog::ApiSet,
+    unsupported: &ApiSet,
 ) -> DegradationPoint {
-    let distinct: HashSet<u32> = data
-        .packages
-        .iter()
-        .flat_map(|p| p.footprint.syscalls())
-        .collect();
+    // Every API some package uses, as one word-wise union.
+    let mut used = ApiSet::new();
+    for p in &data.packages {
+        used.union_with(&p.footprint.apis);
+    }
     let d = &data.diagnostics;
     DegradationPoint {
         rate,
@@ -298,9 +301,8 @@ fn measure(
             .filter(|p| p.partial_footprint)
             .count() as u32,
         quarantined_packages: d.quarantined_packages,
-        distinct_syscalls: distinct.len(),
-        completeness_top: Metrics::new(data)
-            .weighted_completeness_masked(unsupported),
+        distinct_syscalls: used.iter().filter(|a| a.kind() == ApiKind::Syscall).count(),
+        completeness_top: weighted_completeness_unindexed(data, unsupported),
     }
 }
 

@@ -90,19 +90,7 @@ impl MetricsIndex {
                 dependents[id as usize].push(i);
             }
         }
-        let dep_indices: Vec<Vec<usize>> = data
-            .packages
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                p.depends
-                    .iter()
-                    .filter_map(|dep| data.by_name.get(dep).copied())
-                    .filter(|&d| d != i)
-                    .collect()
-            })
-            .collect();
-        let condensation = Condensation::new(&dep_indices);
+        let condensation = dependency_condensation(data);
         let ncomp = condensation.len();
         // Union of member footprints per component: within an SCC every
         // package transitively depends on every other, so the closure is
@@ -149,6 +137,76 @@ impl MetricsIndex {
             packages: data.packages.len(),
         }
     }
+}
+
+/// The SCC condensation of `data`'s resolved `depends` graph (unknown
+/// names and self-dependencies dropped).
+fn dependency_condensation(data: &StudyData) -> Condensation {
+    let dep_indices: Vec<Vec<usize>> = data
+        .packages
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            p.depends
+                .iter()
+                .filter_map(|dep| data.by_name.get(dep).copied())
+                .filter(|&d| d != i)
+                .collect()
+        })
+        .collect();
+    Condensation::new(&dep_indices)
+}
+
+/// Weighted completeness when `blocked(c)` says whether component `c`'s
+/// own footprint uses an unsupported API: one bottom-up pass over the
+/// condensation (component ids are topological, so each dependency
+/// verdict is final when read), then the supported packages' mass.
+fn completeness_unblocked(
+    data: &StudyData,
+    condensation: &Condensation,
+    total_mass: f64,
+    blocked: impl Fn(usize) -> bool,
+) -> f64 {
+    if total_mass == 0.0 {
+        return 0.0;
+    }
+    let ncomp = condensation.len();
+    let mut comp_ok = vec![false; ncomp];
+    for c in 0..ncomp {
+        comp_ok[c] = !blocked(c)
+            && condensation.deps(c as u32).iter().all(|&d| comp_ok[d as usize]);
+    }
+    // Summed in package order — the canonical reduction every
+    // completeness path (from-scratch or incremental) shares, so
+    // results are bit-identical across them.
+    let supported_mass: f64 = data
+        .packages
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| comp_ok[condensation.comp_of(i) as usize])
+        .map(|(_, p)| p.prob)
+        .sum();
+    supported_mass / total_mass
+}
+
+/// [`Metrics::weighted_completeness_masked`] without building the
+/// metrics index: it condenses the dependency graph and tests each
+/// package's own footprint, which is all a single measurement needs (a
+/// corruption-sweep point measures each data set once). A component's
+/// footprint union meets the mask exactly when one of its members'
+/// footprints does, so the result is bit-identical.
+pub(crate) fn weighted_completeness_unindexed(
+    data: &StudyData,
+    unsupported: &ApiSet,
+) -> f64 {
+    let condensation = dependency_condensation(data);
+    let mut blocked = vec![false; condensation.len()];
+    for (i, p) in data.packages.iter().enumerate() {
+        if p.footprint.apis.intersects(unsupported) {
+            blocked[condensation.comp_of(i) as usize] = true;
+        }
+    }
+    completeness_unblocked(data, &condensation, data.total_mass(), |c| blocked[c])
 }
 
 impl<'a> Metrics<'a> {
@@ -331,31 +389,9 @@ impl<'a> Metrics<'a> {
     /// component is supported (component ids are topological, so each
     /// dependency verdict is final when read).
     pub fn weighted_completeness_masked(&self, unsupported: &ApiSet) -> f64 {
-        if self.total_mass == 0.0 {
-            return 0.0;
-        }
-        let ncomp = self.condensation.len();
-        let mut comp_ok = vec![false; ncomp];
-        for c in 0..ncomp {
-            comp_ok[c] = !self.comp_own[c].intersects(unsupported)
-                && self
-                    .condensation
-                    .deps(c as u32)
-                    .iter()
-                    .all(|&d| comp_ok[d as usize]);
-        }
-        // Summed in package order — the canonical reduction every
-        // completeness path (from-scratch or incremental) shares, so
-        // results are bit-identical across them.
-        let supported_mass: f64 = self
-            .data
-            .packages
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| comp_ok[self.condensation.comp_of(i) as usize])
-            .map(|(_, p)| p.prob)
-            .sum();
-        supported_mass / self.total_mass
+        completeness_unblocked(self.data, &self.condensation, self.total_mass, |c| {
+            self.comp_own[c].intersects(unsupported)
+        })
     }
 
     /// The mask of syscall APIs **not** in `supported_numbers` — the
@@ -676,6 +712,13 @@ mod tests {
                     fast.to_bits(),
                     oracle.to_bits(),
                     "mask {mask:04b}: {fast} vs {oracle}"
+                );
+                let unindexed =
+                    weighted_completeness_unindexed(&data, &unsupported);
+                assert_eq!(
+                    unindexed.to_bits(),
+                    oracle.to_bits(),
+                    "mask {mask:04b}, unindexed: {unindexed} vs {oracle}"
                 );
             }
         }

@@ -17,10 +17,11 @@
 //! The result, [`StudyData`], is the in-memory replacement for the paper's
 //! 428-million-row Postgres database.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use apistudy_analysis::{AnalysisOptions, BinaryAnalysis, Linker};
 use apistudy_catalog::Catalog;
@@ -384,11 +385,31 @@ where
     )
 }
 
+/// [`SynthRepo::materialize_all`] on the pipeline's workers. Generation
+/// is a pure function of the plan, so the packages are the same, in the
+/// same order.
+pub(crate) fn materialize(repo: &SynthRepo) -> Vec<Package> {
+    let (packages, _) = par_map_indexed(
+        repo.package_count(),
+        None,
+        |i| repo.package(i),
+        |i, _, detail| panic!("generating package {i} failed twice: {detail}"),
+    );
+    packages
+}
+
 pub(crate) struct PkgIntermediate {
     /// Index into the repository plan (kept for deterministic ordering).
     #[allow(dead_code)]
     index: usize,
-    package: Package,
+    /// The package's name and declared dependencies.
+    name: String,
+    depends: Vec<String>,
+    /// Packages providing the interpreters its scripts name, sorted and
+    /// deduplicated.
+    script_interpreters: Vec<String>,
+    /// Scripts shipped.
+    scripts: usize,
     /// `(file name, content hash, analysis)` per shipped library. The
     /// hash is 0 when no cache is attached (it is only consumed by the
     /// footprint-cache key derivation, which is skipped in that case).
@@ -399,6 +420,8 @@ pub(crate) struct PkgIntermediate {
     lib_count: usize,
     /// Whether this package ships the dynamic linker.
     ships_ldso: bool,
+    /// This package's files in the Figure 1 census.
+    census: MixCensus,
     unresolved: u32,
     resolved: u64,
     /// Binaries this package shipped that could not be analyzed.
@@ -456,15 +479,15 @@ impl PkgIntermediate {
         }
         Self {
             index,
-            package: Package {
-                name: p.name.clone(),
-                depends: p.depends.clone(),
-                files: Vec::new(),
-            },
+            name: p.name.clone(),
+            depends: p.depends.clone(),
+            script_interpreters: Vec::new(),
+            scripts: 0,
             libs: Vec::new(),
             execs: Vec::new(),
             lib_count: 0,
             ships_ldso: false,
+            census: MixCensus::default(),
             unresolved: 0,
             resolved: 0,
             skipped,
@@ -518,7 +541,7 @@ pub(crate) fn analyze_binary(
 /// panic stays retryable.
 pub(crate) fn analyze_package(
     index: usize,
-    package: Package,
+    package: &Package,
     options: AnalysisOptions,
     cache: Option<(&AnalysisCache, u64)>,
 ) -> PkgIntermediate {
@@ -531,14 +554,29 @@ pub(crate) fn analyze_package(
     let mut retries_recovered = 0u64;
     let mut cache_hits = 0u64;
     let mut cache_misses = 0u64;
+    // Analyzed binaries count by the class their analysis recorded (the
+    // parse the census would repeat); skipped ones are parsed for it.
+    let mut census = MixCensus::default();
+    let mut interpreters = BTreeSet::new();
+    let mut scripts = 0;
     for file in &package.files {
-        let PackageFile::Elf { name, bytes } = file else { continue };
+        let (name, bytes) = match file {
+            PackageFile::Elf { name, bytes } => (name, bytes),
+            PackageFile::Script { shebang, .. } => {
+                let interp = Interpreter::classify(shebang);
+                census.count_script(interp);
+                interpreters.insert(interp.providing_package());
+                scripts += 1;
+                continue;
+            }
+        };
         let key = cache
             .map(|(_, opts_fp)| CacheKey::for_bytes(bytes, opts_fp));
         let hash = key.map_or(0, |k| k.content);
         if let (Some((cache, _)), Some(key)) = (cache, key) {
             if let Some(ba) = cache.get(key) {
                 cache_hits += 1;
+                census.count_class(ba.class);
                 for f in &ba.funcs {
                     unresolved += f.facts.unresolved_syscall_sites;
                     resolved += f.facts.syscalls.len() as u64;
@@ -561,6 +599,7 @@ pub(crate) fn analyze_package(
         let ba = match result {
             Ok(ba) => Arc::new(ba),
             Err((stage, kind, detail)) => {
+                census.count_elf(bytes);
                 skipped.push(SkippedBinary {
                     package: package.name.clone(),
                     file: name.clone(),
@@ -571,6 +610,7 @@ pub(crate) fn analyze_package(
                 continue;
             }
         };
+        census.count_class(ba.class);
         if panics == 0 {
             if let (Some((cache, _)), Some(key)) = (cache, key) {
                 cache.insert(key, Arc::clone(&ba));
@@ -591,11 +631,15 @@ pub(crate) fn analyze_package(
         .any(|(name, _, _)| name == apistudy_corpus::libc_gen::LDSO_SONAME);
     PkgIntermediate {
         index,
-        package,
+        name: package.name.clone(),
+        depends: package.depends.clone(),
+        script_interpreters: interpreters.into_iter().map(str::to_owned).collect(),
+        scripts,
         libs,
         execs,
         lib_count,
         ships_ldso,
+        census,
         unresolved,
         resolved,
         skipped,
@@ -668,16 +712,18 @@ impl StudyData {
         options: AnalysisOptions,
         cache: Option<&AnalysisCache>,
     ) -> Self {
-        Self::run_cached(repo, options, cache, |i| (repo.package(i), Vec::new()))
+        Self::run_cached(repo, options, cache, |i| {
+            (Cow::Owned(repo.package(i)), Vec::new())
+        })
     }
 
     /// [`Self::from_synth_cached`] over a pre-materialized corpus:
-    /// workers clone `packages[i]` instead of regenerating it. Package
-    /// synthesis costs more than an order of magnitude over a memcpy of
-    /// the same bytes, so anything that runs the pipeline repeatedly over
-    /// one repository (the corruption sweep above all) should materialize
-    /// once with [`SynthRepo::materialize_all`] and pay the corpus's byte
-    /// size in memory for the duration.
+    /// workers analyze `packages[i]` in place instead of regenerating it.
+    /// Package synthesis costs more than an order of magnitude over
+    /// reading the same bytes, so anything that runs the pipeline
+    /// repeatedly over one repository (the corruption sweep above all)
+    /// should materialize once with [`SynthRepo::materialize_all`] and
+    /// pay the corpus's byte size in memory for the duration.
     pub fn from_packages_cached(
         repo: &SynthRepo,
         packages: &[Package],
@@ -686,7 +732,7 @@ impl StudyData {
     ) -> Self {
         assert_eq!(packages.len(), repo.package_count());
         Self::run_cached(repo, options, cache, |i| {
-            (packages[i].clone(), Vec::new())
+            (Cow::Borrowed(&packages[i]), Vec::new())
         })
     }
 
@@ -721,14 +767,14 @@ impl StudyData {
         Self::run_cached(repo, options, cache, |i| {
             let mut package = repo.package(i);
             let injected = plan.corrupt_package(i, &mut package);
-            (package, injected)
+            (Cow::Owned(package), injected)
         })
     }
 
     /// [`Self::from_synth_faulted_cached`] over a pre-materialized
-    /// corpus: each worker clones its (pristine) package and corrupts the
-    /// clone, so the shared materialization stays clean across sweep
-    /// points.
+    /// corpus: a worker copies and corrupts only a package the plan
+    /// selects a file of, so the shared materialization stays clean
+    /// across sweep points; the others are analyzed in place.
     pub fn from_packages_faulted_cached(
         repo: &SynthRepo,
         packages: &[Package],
@@ -738,21 +784,24 @@ impl StudyData {
     ) -> Self {
         assert_eq!(packages.len(), repo.package_count());
         Self::run_cached(repo, options, cache, |i| {
+            if !plan.selects_package(i, &packages[i]) {
+                return (Cow::Borrowed(&packages[i]), Vec::new());
+            }
             let mut package = packages[i].clone();
             let injected = plan.corrupt_package(i, &mut package);
-            (package, injected)
+            (Cow::Owned(package), injected)
         })
     }
 
-    /// The shared driver: produces each package (lazily generated or
-    /// cloned from a materialization, clean or fault-mutated), analyzes
-    /// the corpus in parallel, assembles, and stamps the run's cache
-    /// accounting into the diagnostics.
-    fn run_cached(
+    /// The shared runner: produces each package (generated, read in
+    /// place from a materialization, or copied and fault-mutated),
+    /// analyzes the corpus in parallel, assembles, and stamps the run's
+    /// cache accounting into the diagnostics.
+    fn run_cached<'p>(
         repo: &SynthRepo,
         options: AnalysisOptions,
         cache: Option<&AnalysisCache>,
-        produce: impl Fn(usize) -> (Package, Vec<apistudy_corpus::FaultRecord>)
+        produce: impl Fn(usize) -> (Cow<'p, Package>, Vec<apistudy_corpus::FaultRecord>)
             + Sync,
     ) -> Self {
         let with_fp = cache.map(|c| (c, options.fingerprint()));
@@ -763,7 +812,7 @@ impl StudyData {
             deadline,
             |i| {
                 let (package, injected) = produce(i);
-                let mut inter = analyze_package(i, package, options, with_fp);
+                let mut inter = analyze_package(i, &package, options, with_fp);
                 inter.injected = injected;
                 inter
             },
@@ -822,8 +871,12 @@ impl StudyData {
         shard: usize,
         start: usize,
     ) -> crate::stream::ShardPartial {
-        let catalog = Catalog::linux_3_19();
-        let census = MixCensus::scan(inters.iter().map(|i| &i.package));
+        // Only a footprint-cache miss resolves against the catalog.
+        let catalog = LazyLock::new(Catalog::linux_3_19);
+        let mut census = MixCensus::default();
+        for inter in &inters {
+            census.merge(&inter.census);
+        }
 
         // Register every shared library, moving each analysis into the
         // linker (it is not needed twice); collect per-binary attribution
@@ -997,27 +1050,6 @@ impl StudyData {
                         }
                         fp.merge(&resolved);
                     }
-                    let script_interpreters: Vec<String> = inter
-                        .package
-                        .files
-                        .iter()
-                        .filter_map(|f| match f {
-                            PackageFile::Script { shebang, .. } => Some(
-                                Interpreter::classify(shebang)
-                                    .providing_package()
-                                    .to_owned(),
-                            ),
-                            PackageFile::Elf { .. } => None,
-                        })
-                        .collect::<BTreeSet<_>>()
-                        .into_iter()
-                        .collect();
-                    let n_scripts = inter
-                        .package
-                        .files
-                        .iter()
-                        .filter(|f| matches!(f, PackageFile::Script { .. }))
-                        .count();
                     // Partial when a shipped binary was skipped, or when
                     // anything this package links against is tainted.
                     let partial = inter.quarantined
@@ -1027,19 +1059,16 @@ impl StudyData {
                         })
                         || lib_names[i].iter().any(|n| tainted.contains(n));
                     PackageRecord {
-                        name: inter.package.name.clone(),
-                        prob: repo.plan.popcon.probability(&inter.package.name),
-                        install_count: repo
-                            .plan
-                            .popcon
-                            .count(&inter.package.name),
-                        depends: inter.package.depends.clone(),
+                        name: inter.name.clone(),
+                        prob: repo.plan.popcon.probability(&inter.name),
+                        install_count: repo.plan.popcon.count(&inter.name),
+                        depends: inter.depends.clone(),
                         footprint: fp,
-                        script_interpreters,
+                        script_interpreters: inter.script_interpreters.clone(),
                         file_counts: (
                             inter.execs.len(),
                             inter.lib_count,
-                            n_scripts,
+                            inter.scripts,
                         ),
                         unresolved_syscall_sites: inter.unresolved,
                         skipped_binaries: inter.skipped.len() as u32,
@@ -1050,13 +1079,10 @@ impl StudyData {
                 // the watchdog deadline degrades into an empty, flagged
                 // record instead of aborting (or stalling) the run.
                 move |i, _cause, _detail| PackageRecord {
-                    name: inters[i].package.name.clone(),
-                    prob: repo.plan.popcon.probability(&inters[i].package.name),
-                    install_count: repo
-                        .plan
-                        .popcon
-                        .count(&inters[i].package.name),
-                    depends: inters[i].package.depends.clone(),
+                    name: inters[i].name.clone(),
+                    prob: repo.plan.popcon.probability(&inters[i].name),
+                    install_count: repo.plan.popcon.count(&inters[i].name),
+                    depends: inters[i].depends.clone(),
                     footprint: ApiFootprint::default(),
                     script_interpreters: Vec::new(),
                     file_counts: (0, 0, 0),
@@ -1188,6 +1214,7 @@ impl StudyData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheMode;
     use apistudy_catalog::Api;
     use apistudy_corpus::{CalibrationSpec, Scale};
 
@@ -1198,6 +1225,48 @@ mod tests {
             0xBEEF,
         );
         StudyData::from_synth(&repo)
+    }
+
+    #[test]
+    fn census_matches_a_scan_of_the_analyzed_bytes() {
+        // The pipeline counts an analyzed binary by the class its analysis
+        // recorded and parses only the skipped ones; scanning the same
+        // bytes is the reference, clean and corrupted, cold and cached.
+        let repo = SynthRepo::new(
+            Scale { packages: 150, installations: 15_000 },
+            CalibrationSpec::default(),
+            11,
+        );
+        let options = AnalysisOptions::default();
+        let packages = repo.materialize_all();
+        let clean = StudyData::from_synth(&repo);
+        assert_eq!(clean.census, MixCensus::scan(&packages));
+
+        let plan = FaultPlan::new(0x5EED, 0.2);
+        let corrupted: Vec<Package> = packages
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let mut p = p.clone();
+                plan.corrupt_package(i, &mut p);
+                p
+            })
+            .collect();
+        let want = MixCensus::scan(&corrupted);
+        assert!(want.unparsable > 0);
+        let cache = AnalysisCache::new(CacheMode::Mem);
+        for _ in 0..2 {
+            let data = StudyData::from_packages_faulted_cached(
+                &repo,
+                &packages,
+                options,
+                &plan,
+                Some(&cache),
+            );
+            assert!(data.diagnostics.skipped.iter().any(|s| s.stage != SkipStage::Parse));
+            assert_eq!(data.census, want);
+        }
+        assert!(cache.stats().hits > 0, "the second run is served from the cache");
     }
 
     #[test]

@@ -184,7 +184,7 @@ fn run_shard(
     let (inters, stats) = par_map_indexed(
         range.len(),
         deadline,
-        |i| analyze_package(start + i, repo.package(start + i), options, cache),
+        |i| analyze_package(start + i, &repo.package(start + i), options, cache),
         |i, cause, detail| {
             PkgIntermediate::quarantined(start + i, repo, detail, cause.stage())
         },
@@ -243,13 +243,7 @@ pub fn fold_partials(
     let mut diagnostics = RunDiagnostics::default();
 
     for partial in &mut partials {
-        for (k, v) in &partial.census.elf {
-            *census.elf.entry(*k).or_insert(0) += v;
-        }
-        for (k, v) in &partial.census.scripts {
-            *census.scripts.entry(*k).or_insert(0) += v;
-        }
-        census.unparsable += partial.census.unparsable;
+        census.merge(&partial.census);
         unresolved_total += partial.unresolved_sites;
         resolved_total += partial.resolved_sites;
 

@@ -12,7 +12,8 @@
 //! emission plan before any bytes are produced, and every emitted
 //! instruction has a target-independent length, so the two-pass layout
 //! protocol of [`apistudy_elf::ElfBuilder`] converges in exactly two
-//! passes.
+//! passes: a probe emission learns every size, the second emits the final
+//! bytes.
 
 use apistudy_elf::{ElfBuilder, Layout};
 use apistudy_x86::{Asm, Reg};
@@ -368,7 +369,7 @@ pub fn generate_executable(spec: &ExecSpec) -> Vec<u8> {
     };
 
     // Pass 1 against a probe layout to learn the text size.
-    let probe_layout = b.clone().layout(1 << 20, rodata.len() as u64);
+    let probe_layout = b.layout(1 << 20, rodata.len() as u64);
     let (probe_text, _) = emit_all(&probe_layout);
     let layout = b.layout(probe_text.len() as u64, rodata.len() as u64);
     let (text, spans) = emit_all(&layout);
@@ -410,46 +411,14 @@ pub fn generate_library(spec: &LibSpec) -> Vec<u8> {
         .map(|(i, e)| (e.name.as_str(), i))
         .collect();
 
-    let emit_all = |layout: &Layout| -> (Vec<u8>, Vec<(u64, u64)>) {
-        // First sub-pass computes addresses; within a single emission we
-        // need sibling addresses for possibly-forward internal calls, so we
-        // emit twice inside each pass with stable sizes.
-        let mut addrs: Vec<u64> = vec![layout.text_addr; spec.exports.len()];
-        let mut spans = Vec::new();
-        for _ in 0..2 {
-            spans.clear();
-            let mut a = Asm::new(layout.text_addr);
-            for (i, e) in spec.exports.iter().enumerate() {
-                a.align(16);
-                let start = a.here();
-                addrs[i] = start;
-                for &nr in &e.direct_syscalls {
-                    a.mov_imm32(Reg::RAX, nr);
-                    a.syscall();
-                }
-                for callee in &e.calls_exports {
-                    if let Some(&j) = export_index.get(callee.as_str()) {
-                        a.call(addrs[j]);
-                    }
-                }
-                for &imp in &import_ids[i] {
-                    a.call(layout.plt_stub_addr(imp));
-                }
-                a.ret();
-                // Pad to the nominal size with trap bytes.
-                let body = a.here() - start;
-                if u64::from(e.pad_to) > body {
-                    a.int3_pad((u64::from(e.pad_to) - body) as usize);
-                }
-                spans.push((start, a.here() - start));
-            }
-            // Second iteration re-emits with correct forward addresses;
-            // sizes are target-independent so `addrs` is now exact.
-        }
-        // Final emission with converged addresses.
+    // Emits every export against `layout`, calling siblings at `addrs`;
+    // returns the code and each export's `(start, size)`.
+    let emit_all = |layout: &Layout, addrs: &[u64]| -> (Vec<u8>, Vec<(u64, u64)>) {
         let mut a = Asm::new(layout.text_addr);
+        let mut spans = Vec::with_capacity(spec.exports.len());
         for (i, e) in spec.exports.iter().enumerate() {
             a.align(16);
+            let start = a.here();
             for &nr in &e.direct_syscalls {
                 a.mov_imm32(Reg::RAX, nr);
                 a.syscall();
@@ -463,18 +432,31 @@ pub fn generate_library(spec: &LibSpec) -> Vec<u8> {
                 a.call(layout.plt_stub_addr(imp));
             }
             a.ret();
-            let body = a.here() - addrs[i];
+            // Pad to the nominal size with trap bytes.
+            let body = a.here() - start;
             if u64::from(e.pad_to) > body {
                 a.int3_pad((u64::from(e.pad_to) - body) as usize);
             }
+            spans.push((start, a.here() - start));
         }
         (a.finish(), spans)
     };
 
-    let probe_layout = b.clone().layout(1 << 24, 0);
-    let (probe_text, _) = emit_all(&probe_layout);
+    // Instruction sizes do not depend on call targets, and library code
+    // never references `.rodata` (the one address that moves with the
+    // `.text` size), so the probe pass, with every sibling call aimed at
+    // the start of `.text`, already places each export at its final
+    // address. The second pass aims the sibling calls.
+    let probe_layout = b.layout(1 << 24, 0);
+    let placeholder = vec![probe_layout.text_addr; spec.exports.len()];
+    let (probe_text, spans) = emit_all(&probe_layout, &placeholder);
     let layout = b.layout(probe_text.len() as u64, 0);
-    let (text, spans) = emit_all(&layout);
+    debug_assert_eq!(
+        (layout.text_addr, layout.plt_addr),
+        (probe_layout.text_addr, probe_layout.plt_addr),
+    );
+    let addrs: Vec<u64> = spans.iter().map(|&(start, _)| start).collect();
+    let (text, _) = emit_all(&layout, &addrs);
     debug_assert_eq!(text.len(), probe_text.len());
 
     b.set_text(text);

@@ -193,6 +193,16 @@ impl FaultPlan {
         })
     }
 
+    /// Whether [`Self::corrupt_package`] would select any file of
+    /// `package`: a caller holding a pristine package need not copy one
+    /// the plan leaves untouched.
+    pub fn selects_package(&self, package_index: usize, package: &Package) -> bool {
+        package.files.iter().enumerate().any(|(file_index, f)| {
+            matches!(f, PackageFile::Elf { .. })
+                && self.planned(package_index, file_index).is_some()
+        })
+    }
+
     /// Corrupts every selected ELF file of a materialized package,
     /// returning the injection ledger (empty when nothing was selected).
     /// Scripts are never corrupted (the fault model is ELF-structural).

@@ -28,20 +28,45 @@ impl MixCensus {
         for pkg in packages {
             for file in &pkg.files {
                 match file {
-                    PackageFile::Elf { bytes, .. } => match ElfFile::parse(bytes) {
-                        Ok(elf) => {
-                            *census.elf.entry(elf.classify()).or_insert(0) += 1;
-                        }
-                        Err(_) => census.unparsable += 1,
-                    },
+                    PackageFile::Elf { bytes, .. } => census.count_elf(bytes),
                     PackageFile::Script { shebang, .. } => {
-                        let interp = Interpreter::classify(shebang);
-                        *census.scripts.entry(interp).or_insert(0) += 1;
+                        census.count_script(Interpreter::classify(shebang))
                     }
                 }
             }
         }
         census
+    }
+
+    /// Counts one ELF file by parsing its headers.
+    pub fn count_elf(&mut self, bytes: &[u8]) {
+        match ElfFile::parse(bytes) {
+            Ok(elf) => self.count_class(elf.classify()),
+            Err(_) => self.unparsable += 1,
+        }
+    }
+
+    /// Counts one ELF file whose class is already known: what
+    /// [`Self::count_elf`] counts for bytes that parse to `class`, for a
+    /// caller (the analyzer) that has parsed them already.
+    pub fn count_class(&mut self, class: BinaryClass) {
+        *self.elf.entry(class).or_insert(0) += 1;
+    }
+
+    /// Counts one script by its shebang interpreter.
+    pub fn count_script(&mut self, interp: Interpreter) {
+        *self.scripts.entry(interp).or_insert(0) += 1;
+    }
+
+    /// Adds another census's counts to this one.
+    pub fn merge(&mut self, other: &MixCensus) {
+        for (&class, &n) in &other.elf {
+            *self.elf.entry(class).or_insert(0) += n;
+        }
+        for (&interp, &n) in &other.scripts {
+            *self.scripts.entry(interp).or_insert(0) += n;
+        }
+        self.unparsable += other.unparsable;
     }
 
     /// Total ELF files.

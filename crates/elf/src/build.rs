@@ -15,7 +15,8 @@
 //!
 //! 1. declare structure: [`ElfBuilder::needed`], [`ElfBuilder::declare_import`],
 //!    [`ElfBuilder::declare_export`], and the `.text`/`.rodata` sizes via
-//!    [`ElfBuilder::layout`];
+//!    [`ElfBuilder::layout`] (a generator that learns its `.text` size by
+//!    emitting against a probe layout calls it twice; the last call wins);
 //! 2. generate code against the returned [`Layout`], then bind it:
 //!    [`ElfBuilder::set_text`], [`ElfBuilder::set_rodata`],
 //!    [`ElfBuilder::bind_export`], [`ElfBuilder::set_entry`], and finally
@@ -27,6 +28,8 @@
 //! declaration order; `.rela.plt` entry *i* (a `R_X86_64_JUMP_SLOT` against
 //! the import's `.dynsym` entry) corresponds to stub *i*. This matches how
 //! the parser's [`crate::parse::ElfFile::plt_map`] resolves call targets.
+
+use std::collections::HashMap;
 
 use crate::{
     error::{ElfError, Result},
@@ -201,45 +204,41 @@ impl ElfBuilder {
         }
     }
 
-    /// Builds the `.dynstr` contents and returns `(bytes, offset_of)` where
-    /// `offset_of(name)` is the string's offset.
-    fn dynstr(&self) -> (Vec<u8>, impl Fn(&str) -> u32 + '_) {
+    /// The names `.dynstr` holds, in table order, duplicates included:
+    /// imports, exports, needed libraries, then the soname.
+    fn dynstr_names(&self) -> Vec<&str> {
+        self.imports
+            .iter()
+            .map(String::as_str)
+            .chain(self.exports.iter().map(|e| e.name.as_str()))
+            .chain(self.needed.iter().map(String::as_str))
+            .chain(self.soname.as_deref())
+            .collect()
+    }
+
+    /// Builds `.dynstr`: a leading NUL, then each distinct name once, in
+    /// table order. Returns the table and the offset of every name of
+    /// [`Self::dynstr_names`], position for position.
+    fn dynstr(&self) -> (Vec<u8>, Vec<u32>) {
+        let names = self.dynstr_names();
         let mut bytes = vec![0u8];
-        let mut offsets: Vec<(String, u32)> = Vec::new();
-        {
-            let mut add = |s: &str| {
-                if offsets.iter().any(|(n, _)| n == s) {
-                    return;
-                }
-                offsets.push((s.to_owned(), bytes.len() as u32));
-                bytes.extend_from_slice(s.as_bytes());
-                bytes.push(0);
-            };
-            for s in &self.imports {
-                add(s);
-            }
-            for e in &self.exports {
-                add(&e.name);
-            }
-            for s in &self.needed {
-                add(s);
-            }
-            if let Some(s) = &self.soname {
-                add(s);
-            }
-        }
-        let lookup = move |name: &str| -> u32 {
-            offsets
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|&(_, o)| o)
-                .unwrap_or(0)
-        };
-        (bytes, lookup)
+        let mut seen = HashMap::with_capacity(names.len());
+        let offsets = names
+            .iter()
+            .map(|&name| {
+                *seen.entry(name).or_insert_with(|| {
+                    let off = bytes.len() as u32;
+                    bytes.extend_from_slice(name.as_bytes());
+                    bytes.push(0);
+                    off
+                })
+            })
+            .collect();
+        (bytes, offsets)
     }
 
     /// Internal layout: file offsets (== vaddr - base for allocated pieces).
-    fn offsets(&self, text_len: u64, rodata_len: u64) -> Offsets {
+    fn offsets(&self, text_len: u64, rodata_len: u64, dynstr_len: u64) -> Offsets {
         let phnum = {
             let mut n = 1; // PT_LOAD
             if self.interp.is_some() {
@@ -258,9 +257,8 @@ impl ElfBuilder {
         let interp_len = self.interp.as_ref().map_or(0, |s| s.len() as u64 + 1);
         off = align8(off + interp_len);
 
-        let (dynstr_bytes, _) = self.dynstr();
         let dynstr_off = off;
-        let dynstr_len = if self.is_dynamic() { dynstr_bytes.len() as u64 } else { 0 };
+        let dynstr_len = if self.is_dynamic() { dynstr_len } else { 0 };
         off = align8(off + dynstr_len);
 
         let dynsym_off = off;
@@ -318,10 +316,11 @@ impl ElfBuilder {
     /// follows at `text_size` rounded up).
     ///
     /// All names (imports, exports, needed libraries) must be declared
-    /// before calling this.
+    /// before calling this. Calling it again replaces the size hint, so a
+    /// probe layout needs no copy of the builder.
     pub fn layout(&mut self, text_size: u64, rodata_size: u64) -> Layout {
         self.text_size_hint = text_size;
-        let off = self.offsets(text_size, rodata_size);
+        let off = self.offsets(text_size, rodata_size, self.dynstr().0.len() as u64);
         let base = self.base();
         Layout {
             text_addr: base + off.text_off,
@@ -341,10 +340,18 @@ impl ElfBuilder {
         if self.text.len() as u64 != self.text_size_hint && self.text_size_hint != 0 {
             return Err(ElfError::Malformed("text size differs from layout hint"));
         }
-        let off = self.offsets(self.text.len() as u64, self.rodata.len() as u64);
+        let (dynstr_bytes, name_offs) = self.dynstr();
+        // Offsets follow `dynstr_names`: imports, exports, needed, soname.
+        let (import_offs, rest) = name_offs.split_at(self.imports.len());
+        let (export_offs, rest) = rest.split_at(self.exports.len());
+        let (needed_offs, soname_off) = rest.split_at(self.needed.len());
+        let off = self.offsets(
+            self.text.len() as u64,
+            self.rodata.len() as u64,
+            dynstr_bytes.len() as u64,
+        );
         let base = self.base();
         let dynamic = self.is_dynamic();
-        let (dynstr_bytes, str_off) = self.dynstr();
 
         // ---- Section bookkeeping -------------------------------------
         // Section indices (0 = null). Built in file order.
@@ -662,17 +669,17 @@ impl ElfBuilder {
 
             // .dynsym: null + imports (UND) + exports.
             let mut o = off.dynsym_off as usize + SYM_SIZE;
-            for name in &self.imports {
+            for name_off in import_offs {
                 let e = &mut out[o..o + SYM_SIZE];
-                e[0..4].copy_from_slice(&str_off(name).to_le_bytes());
+                e[0..4].copy_from_slice(&name_off.to_le_bytes());
                 e[4] = (SymBinding::Global.to_nibble() << 4)
                     | SymType::Func.to_nibble();
                 e[6..8].copy_from_slice(&SHN_UNDEF.to_le_bytes());
                 o += SYM_SIZE;
             }
-            for exp in &self.exports {
+            for (exp, name_off) in self.exports.iter().zip(export_offs) {
                 let e = &mut out[o..o + SYM_SIZE];
-                e[0..4].copy_from_slice(&str_off(&exp.name).to_le_bytes());
+                e[0..4].copy_from_slice(&name_off.to_le_bytes());
                 e[4] = (SymBinding::Global.to_nibble() << 4)
                     | SymType::Func.to_nibble();
                 e[6..8].copy_from_slice(&(text_idx as u16).to_le_bytes());
@@ -702,11 +709,11 @@ impl ElfBuilder {
                 out[*o + 8..*o + 16].copy_from_slice(&val.to_le_bytes());
                 *o += DYN_SIZE;
             };
-            for lib in &self.needed {
-                push_dyn(&mut out, &mut o, dt::NEEDED, u64::from(str_off(lib)));
+            for &name_off in needed_offs {
+                push_dyn(&mut out, &mut o, dt::NEEDED, u64::from(name_off));
             }
-            if let Some(soname) = &self.soname {
-                push_dyn(&mut out, &mut o, dt::SONAME, u64::from(str_off(soname)));
+            if let Some(&name_off) = soname_off.first() {
+                push_dyn(&mut out, &mut o, dt::SONAME, u64::from(name_off));
             }
             push_dyn(&mut out, &mut o, dt::NULL, 0);
 

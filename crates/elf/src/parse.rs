@@ -140,12 +140,16 @@ pub struct ElfFile<'a> {
 }
 
 fn get<'d>(data: &'d [u8], offset: usize, need: usize, what: &'static str) -> Result<&'d [u8]> {
-    data.get(offset..offset + need).ok_or(ElfError::Truncated {
-        what,
-        offset,
-        need,
-        have: data.len().saturating_sub(offset),
-    })
+    // A hostile offset near `usize::MAX` must read as truncated, not wrap.
+    offset
+        .checked_add(need)
+        .and_then(|end| data.get(offset..end))
+        .ok_or(ElfError::Truncated {
+            what,
+            offset,
+            need,
+            have: data.len().saturating_sub(offset),
+        })
 }
 
 fn u16le(b: &[u8]) -> u16 {
@@ -195,7 +199,7 @@ impl<'a> ElfFile<'a> {
 
         let mut program_headers = Vec::with_capacity(header.phnum as usize);
         for i in 0..header.phnum as usize {
-            let off = header.phoff as usize + i * PHDR_SIZE;
+            let off = (header.phoff as usize).saturating_add(i * PHDR_SIZE);
             let p = get(data, off, PHDR_SIZE, "program header")?;
             program_headers.push(ProgramHeader {
                 ptype: u32le(&p[0..4]),
@@ -220,7 +224,7 @@ impl<'a> ElfFile<'a> {
         }
         let mut raw = Vec::with_capacity(header.shnum as usize);
         for i in 0..header.shnum as usize {
-            let off = header.shoff as usize + i * SHDR_SIZE;
+            let off = (header.shoff as usize).saturating_add(i * SHDR_SIZE);
             let s = get(data, off, SHDR_SIZE, "section header")?;
             raw.push(RawShdr {
                 name_off: u32le(&s[0..4]),
@@ -314,7 +318,7 @@ impl<'a> ElfFile<'a> {
     /// All symbols from `.symtab` (empty when stripped).
     pub fn symtab(&self) -> Result<Vec<Symbol>> {
         match self.section_by_name(".symtab") {
-            Some(s) => self.symbols(&s.clone()),
+            Some(s) => self.symbols(s),
             None => Ok(Vec::new()),
         }
     }
@@ -322,7 +326,7 @@ impl<'a> ElfFile<'a> {
     /// All symbols from `.dynsym` (empty when not dynamic).
     pub fn dynsym(&self) -> Result<Vec<Symbol>> {
         match self.section_by_name(".dynsym") {
-            Some(s) => self.symbols(&s.clone()),
+            Some(s) => self.symbols(s),
             None => Ok(Vec::new()),
         }
     }
@@ -332,7 +336,7 @@ impl<'a> ElfFile<'a> {
         let Some(sec) = self.section_by_name(".dynamic") else {
             return Ok(Vec::new());
         };
-        let bytes = self.section_data(&sec.clone())?;
+        let bytes = self.section_data(sec)?;
         let mut out = Vec::new();
         for chunk in bytes.chunks_exact(DYN_SIZE) {
             let tag = u64le(&chunk[0..8]) as i64;
@@ -345,17 +349,21 @@ impl<'a> ElfFile<'a> {
         Ok(out)
     }
 
+    /// The `.dynstr` contents, which a non-empty `.dynamic` requires.
+    fn dynstr(&self) -> Result<&'a [u8]> {
+        let sec = self
+            .section_by_name(".dynstr")
+            .ok_or(ElfError::Malformed("dynamic object without .dynstr"))?;
+        self.section_data(sec)
+    }
+
     /// Names of shared libraries this object depends on (`DT_NEEDED`).
     pub fn needed_libraries(&self) -> Result<Vec<String>> {
         let entries = self.dynamic_entries()?;
         if entries.is_empty() {
             return Ok(Vec::new());
         }
-        let strtab_sec = self
-            .section_by_name(".dynstr")
-            .ok_or(ElfError::Malformed("dynamic object without .dynstr"))?
-            .clone();
-        let strtab = self.section_data(&strtab_sec)?;
+        let strtab = self.dynstr()?;
         entries
             .iter()
             .filter(|&&(tag, _)| tag == dt::NEEDED)
@@ -370,12 +378,7 @@ impl<'a> ElfFile<'a> {
         else {
             return Ok(None);
         };
-        let strtab_sec = self
-            .section_by_name(".dynstr")
-            .ok_or(ElfError::Malformed("dynamic object without .dynstr"))?
-            .clone();
-        let strtab = self.section_data(&strtab_sec)?;
-        read_cstr(strtab, off as usize).map(Some)
+        read_cstr(self.dynstr()?, off as usize).map(Some)
     }
 
     /// Parses a RELA section.
@@ -405,28 +408,52 @@ impl<'a> ElfFile<'a> {
     /// `.rela.plt`, whose symbol index points into `.dynsym`. Stubs are
     /// [`crate::build::PLT_STUB_SIZE`] bytes each.
     pub fn plt_map(&self) -> Result<Vec<(u64, String)>> {
-        let Some(plt) = self.section_by_name(".plt").cloned() else {
-            return Ok(Vec::new());
-        };
-        let Some(rela_sec) = self.section_by_name(".rela.plt").cloned() else {
-            return Ok(Vec::new());
-        };
-        let relas = self.relas(&rela_sec)?;
-        let dynsyms = self.dynsym()?;
+        let dynsyms = self.dynsym();
+        let imports = self.plt_imports(dynsyms.as_deref())?;
+        let base = self.section_by_name(".plt").map_or(0, |plt| plt.addr);
         let stub = crate::build::PLT_STUB_SIZE as u64;
-        let mut out = Vec::with_capacity(relas.len());
-        for (i, rela) in relas.iter().enumerate() {
-            let addr = plt.addr + stub * i as u64;
-            if addr + stub > plt.addr + plt.size {
-                return Err(ElfError::Malformed("more PLT relocations than stubs"));
-            }
-            let name = dynsyms
-                .get(rela.sym as usize)
-                .map(|s| s.name.clone())
-                .ok_or(ElfError::Malformed("PLT relocation with bad symbol index"))?;
-            out.push((addr, name));
-        }
-        Ok(out)
+        Ok(imports
+            .iter()
+            .enumerate()
+            // Every stub fits below `u64::MAX` (`plt_imports` checks).
+            .map(|(i, sym)| (base + stub * i as u64, sym.name.clone()))
+            .collect())
+    }
+
+    /// The `.dynsym` entry each PLT stub jumps through, in stub order
+    /// (the convention of [`Self::plt_map`]); empty without `.plt` or
+    /// `.rela.plt`. Takes the already-parsed `.dynsym`, or the error
+    /// parsing it gave, so a caller that needs the symbols for more than
+    /// the PLT parses them once; that error is returned only when there
+    /// are PLT relocations to resolve, after any `.rela.plt` error.
+    pub fn plt_imports<'s>(
+        &self,
+        dynsyms: std::result::Result<&'s [Symbol], &ElfError>,
+    ) -> Result<Vec<&'s Symbol>> {
+        let Some(plt) = self.section_by_name(".plt") else {
+            return Ok(Vec::new());
+        };
+        let Some(rela_sec) = self.section_by_name(".rela.plt") else {
+            return Ok(Vec::new());
+        };
+        let relas = self.relas(rela_sec)?;
+        let dynsyms = dynsyms.map_err(Clone::clone)?;
+        let stub = crate::build::PLT_STUB_SIZE as u64;
+        // Bytes of `.plt` below the top of the address space: a hostile
+        // `sh_addr + sh_size` past `u64::MAX` is clamped, not wrapped.
+        let room = plt.addr.saturating_add(plt.size) - plt.addr;
+        relas
+            .iter()
+            .enumerate()
+            .map(|(i, rela)| {
+                if stub * (i as u64 + 1) > room {
+                    return Err(ElfError::Malformed("more PLT relocations than stubs"));
+                }
+                dynsyms
+                    .get(rela.sym as usize)
+                    .ok_or(ElfError::Malformed("PLT relocation with bad symbol index"))
+            })
+            .collect()
     }
 
     /// Extracts printable NUL-terminated strings of at least `min_len` bytes

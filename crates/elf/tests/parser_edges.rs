@@ -148,6 +148,33 @@ fn exercise(bytes: &[u8]) -> Result<(), ElfError> {
 }
 
 #[test]
+fn hostile_header_offsets_read_as_truncated() {
+    // `offset + size` wraps for offsets near u64::MAX: the bounds check
+    // must be overflow-checked, so debug builds (which would panic) and
+    // release builds (which would wrap) both report truncation.
+    let good = small_library_bytes();
+    for hostile in [u64::MAX, u64::MAX - 10, u64::MAX - 63] {
+        let mut bytes = good.clone();
+        bytes[32..40].copy_from_slice(&hostile.to_le_bytes()); // e_phoff
+        let err = ElfFile::parse(&bytes).expect_err("e_phoff past the end");
+        assert!(matches!(err, ElfError::Truncated { what: "program header", .. }), "{err}");
+
+        let mut bytes = good.clone();
+        bytes[40..48].copy_from_slice(&hostile.to_le_bytes()); // e_shoff
+        let err = ElfFile::parse(&bytes).expect_err("e_shoff past the end");
+        assert!(matches!(err, ElfError::Truncated { what: "section header", .. }), "{err}");
+
+        // A section whose sh_offset is hostile parses, but its contents
+        // read as truncated.
+        let elf = ElfFile::parse(&good).unwrap();
+        let mut text = elf.section_by_name(".text").unwrap().clone();
+        text.offset = hostile;
+        let err = elf.section_data(&text).expect_err("sh_offset past the end");
+        assert!(matches!(err, ElfError::Truncated { what: "section data", .. }), "{err}");
+    }
+}
+
+#[test]
 fn exhaustive_truncation_sweep_never_panics() {
     // Every possible truncation point of a real object: the parser and
     // every accessor must return (Ok or Err), never panic. The full image

@@ -90,6 +90,10 @@ fn imm64(bytes: &[u8]) -> Option<u64> {
     ]))
 }
 
+/// The one-byte `int3` opcode, the padding toolchains put between
+/// functions.
+const INT3: u8 = 0xcc;
+
 const UNKNOWN: fn(u64) -> Decoded =
     |addr| Decoded { addr, len: 1, insn: Insn::Unknown };
 
@@ -375,7 +379,7 @@ pub fn decode(bytes: &[u8], addr: u64) -> Decoded {
 
         // leave / int3 / int imm8.
         0xc9 => done(i, Insn::Other),
-        0xcc => done(i, Insn::Other),
+        INT3 => done(i, Insn::Other),
         0xcd => {
             let Some(&v) = rest.first() else {
                 return UNKNOWN(addr);
@@ -495,6 +499,27 @@ impl<'a> Decoder<'a> {
     /// Instructions decoded so far.
     pub fn decoded(&self) -> u64 {
         self.emitted
+    }
+
+    /// Consumes the run of `int3` (`0xCC`) bytes at the current position
+    /// in one step and returns its length. Each byte counts as one
+    /// decoded instruction against the limit, so a run longer than the
+    /// remaining budget stops exactly where iteration would, and
+    /// [`Decoder::decoded`] and [`Decoder::hit_limit`] read the same
+    /// afterwards.
+    ///
+    /// Between instructions a `0xCC` byte always decodes alone as `int3`,
+    /// so a caller that ignores `int3` may call this at any instruction
+    /// boundary: inter-function padding then costs one byte scan instead
+    /// of one decode per byte.
+    pub fn skip_int3_run(&mut self) -> u64 {
+        let rest = self.bytes.get(self.pos..).unwrap_or(&[]);
+        let budget = usize::try_from(self.limit.saturating_sub(self.emitted))
+            .unwrap_or(usize::MAX);
+        let run = rest.iter().take(budget).take_while(|&&b| b == INT3).count();
+        self.pos += run;
+        self.emitted += run as u64;
+        run as u64
     }
 }
 
@@ -737,5 +762,26 @@ mod tests {
         assert_eq!(d.by_ref().count(), 4);
         assert!(!d.hit_limit());
         assert_eq!(d.decoded(), 4);
+    }
+
+    #[test]
+    fn int3_runs_are_skipped_against_the_budget() {
+        // ret; int3 x 5; ret
+        let code = [0xc3, 0xcc, 0xcc, 0xcc, 0xcc, 0xcc, 0xc3];
+        let mut d = Decoder::new(&code, 0x4000);
+        assert_eq!(d.skip_int3_run(), 0, "no run at a non-int3 byte");
+        assert_eq!(d.next().map(|i| i.insn), Some(Insn::Ret));
+        assert_eq!(d.skip_int3_run(), 5);
+        assert_eq!(d.decoded(), 6);
+        assert_eq!(d.next().map(|i| (i.insn, i.addr)), Some((Insn::Ret, 0x4006)));
+        assert!(d.next().is_none());
+
+        // A budget of three stops inside the run, as iteration would.
+        let mut d = Decoder::with_insn_limit(&code, 0x4000, 3);
+        d.next();
+        assert_eq!(d.skip_int3_run(), 2);
+        assert_eq!(d.decoded(), 3);
+        assert!(d.hit_limit());
+        assert!(d.next().is_none());
     }
 }

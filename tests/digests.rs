@@ -1,0 +1,206 @@
+//! Golden digests of the generator and the analyzer.
+//!
+//! Every file the corpus generator writes for 150 packages at seed 2016,
+//! and every `BinaryAnalysis` of those files under the default options and
+//! under decode budgets of 3, 50 and 1000 instructions, each folded into
+//! one 64-bit FNV-1a digest over a canonical encoding. Exports are encoded
+//! in name order, so the digest does not depend on `HashMap` iteration
+//! order; a failed analysis is encoded by its error message, so the
+//! resource-limit counts are pinned too.
+//!
+//! The constants were recorded before the ELF writer, the reader and the
+//! analyzer's scan loop were optimised. A change that moves one generated
+//! byte, one analysis field or one decoded-instruction count fails here.
+
+use apistudy::analysis::{AnalysisOptions, BinaryAnalysis, Footprint};
+use apistudy::corpus::{CalibrationSpec, PackageFile, Scale, SynthRepo};
+use apistudy::elf::{BinaryClass, ElfError, ElfFile};
+
+const PACKAGES: usize = 150;
+const SEED: u64 = 2016;
+
+/// Digest of every generated file: package name, then each file's name
+/// and bytes (ELF image or script shebang).
+const FILES: u64 = 0x1556_1f00_3783_700d;
+
+/// Digest of every analysis, per decode budget (`None` = the default).
+const ANALYSES: [(Option<u64>, u64); 4] = [
+    (None, 0xd8ae_aaae_24b8_e085),
+    (Some(3), 0x39ef_ee2e_5f5c_498c),
+    (Some(50), 0xc071_de9a_655b_a716),
+    (Some(1000), 0x2bdc_74d0_f0a2_4d6a),
+];
+
+/// 64-bit FNV-1a over length-prefixed little-endian fields.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn len(&mut self, n: usize) {
+        self.u64(n as u64);
+    }
+
+    fn str(&mut self, s: &str) {
+        self.len(s.len());
+        self.bytes(s.as_bytes());
+    }
+
+    fn opt(&mut self, v: Option<u64>) {
+        match v {
+            None => self.u64(0),
+            Some(v) => {
+                self.u64(1);
+                self.u64(v);
+            }
+        }
+    }
+
+    fn footprint(&mut self, f: &Footprint) {
+        self.len(f.syscalls.len());
+        for &nr in &f.syscalls {
+            self.u64(u64::from(nr));
+        }
+        for codes in [&f.ioctl_codes, &f.fcntl_codes, &f.prctl_codes] {
+            self.len(codes.len());
+            for &c in codes {
+                self.u64(c);
+            }
+        }
+        for names in [&f.imports, &f.paths] {
+            self.len(names.len());
+            for s in names {
+                self.str(s);
+            }
+        }
+        self.u64(u64::from(f.unresolved_syscall_sites));
+        self.u64(u64::from(f.unresolved_vectored_sites));
+    }
+
+    fn analysis(&mut self, result: &Result<BinaryAnalysis, ElfError>) {
+        let ba = match result {
+            Ok(ba) => ba,
+            Err(e) => {
+                self.u64(0);
+                self.str(&e.to_string());
+                return;
+            }
+        };
+        self.u64(1);
+        self.u64(match ba.class {
+            BinaryClass::StaticExec => 0,
+            BinaryClass::DynExec => 1,
+            BinaryClass::SharedLib => 2,
+            BinaryClass::Other => 3,
+        });
+        match &ba.soname {
+            None => self.u64(0),
+            Some(s) => {
+                self.u64(1);
+                self.str(s);
+            }
+        }
+        self.len(ba.needed.len());
+        for n in &ba.needed {
+            self.str(n);
+        }
+        self.len(ba.funcs.len());
+        for f in &ba.funcs {
+            self.str(&f.name);
+            self.u64(f.addr);
+            self.u64(f.size);
+            self.footprint(&f.facts);
+            self.len(f.calls.len());
+            for &c in &f.calls {
+                self.len(c);
+            }
+        }
+        let mut exports: Vec<(&String, &usize)> = ba.exports.iter().collect();
+        exports.sort();
+        self.len(exports.len());
+        for (name, &idx) in exports {
+            self.str(name);
+            self.len(idx);
+        }
+        self.opt(ba.entry.map(|e| e as u64));
+        self.u64(ba.instructions);
+    }
+}
+
+fn hex(v: u64) -> String {
+    format!("{v:#018x}")
+}
+
+#[test]
+fn generated_bytes_and_analyses_match_their_golden_digests() {
+    let repo = SynthRepo::new(
+        Scale {
+            packages: PACKAGES,
+            installations: PACKAGES as u64 * 95,
+        },
+        CalibrationSpec::default(),
+        SEED,
+    );
+    let options: Vec<AnalysisOptions> = ANALYSES
+        .iter()
+        .map(|&(budget, _)| match budget {
+            None => AnalysisOptions::default(),
+            Some(decode_budget) => AnalysisOptions {
+                decode_budget,
+                ..AnalysisOptions::default()
+            },
+        })
+        .collect();
+    let mut files = Digest::new();
+    let mut analyses: Vec<Digest> = options.iter().map(|_| Digest::new()).collect();
+    let mut elves = 0usize;
+    for i in 0..repo.package_count() {
+        let pkg = repo.package(i);
+        files.str(&pkg.name);
+        files.len(pkg.files.len());
+        for file in &pkg.files {
+            files.str(file.name());
+            match file {
+                PackageFile::Script { shebang, .. } => {
+                    files.u64(0);
+                    files.str(shebang);
+                }
+                PackageFile::Elf { bytes, .. } => {
+                    files.u64(1);
+                    files.len(bytes.len());
+                    files.bytes(bytes);
+                    let elf = ElfFile::parse(bytes).expect("generated ELF parses");
+                    for (d, &opts) in analyses.iter_mut().zip(&options) {
+                        d.analysis(&BinaryAnalysis::analyze_with(&elf, opts));
+                    }
+                    elves += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        elves > PACKAGES,
+        "the corpus ships more binaries than packages"
+    );
+    assert_eq!(hex(files.0), hex(FILES), "generated file bytes moved");
+    for ((budget, want), got) in ANALYSES.iter().zip(&analyses) {
+        assert_eq!(
+            hex(got.0),
+            hex(*want),
+            "analyses moved (decode budget {budget:?})"
+        );
+    }
+}
