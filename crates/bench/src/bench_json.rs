@@ -1,6 +1,6 @@
 //! The one patcher for `BENCH_pipeline.json`, the hand-maintained
-//! baseline file the smoke gates record their medians into and
-//! `serve_smoke --check` reads back.
+//! baseline file the smoke gates record their medians into, and the one
+//! check that a smoke's `--check` mode runs against it.
 //!
 //! The file is edited line by line, never re-serialized. A measured key
 //! is rewritten in place, keeping its indent and trailing comma; a key
@@ -23,6 +23,60 @@ pub fn record(results: &[(&str, u128)]) -> std::io::Result<()> {
 /// the file or the key is missing, or its value is not an integer.
 pub fn recorded(key: &str) -> Option<u128> {
     lookup(&std::fs::read_to_string(BENCH_JSON).ok()?, key)
+}
+
+/// Which side of its recorded value a measurement must stay on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bound {
+    /// A time or a latency: at most `slack` times the recorded value.
+    Ceiling,
+    /// A throughput: at least the recorded value divided by `slack`.
+    Floor,
+}
+
+/// Checks `measured` against `key`'s committed value in
+/// `BENCH_pipeline.json`, `slack` (a factor of at least 1) away on the
+/// side `bound` names. Prints one `check:` line, and a `FAIL:` line on a
+/// regression; returns whether the measurement passed. A key the file
+/// lacks fails: with no baseline there is nothing to hold the run to.
+pub fn check_against_recorded(
+    key: &str,
+    measured: f64,
+    bound: Bound,
+    slack: f64,
+) -> bool {
+    let Some(base) = recorded(key) else {
+        eprintln!("FAIL: BENCH_pipeline.json records no {key}");
+        return false;
+    };
+    let (word, limit, ok) = limit(measured, base, bound, slack);
+    println!(
+        "check: {key} {measured:.0} vs recorded {base} ({word} {limit:.0})"
+    );
+    if !ok {
+        eprintln!("FAIL: {key} regressed past {slack}x its recorded value");
+    }
+    ok
+}
+
+/// The arithmetic behind [`check_against_recorded`]: the limit's name,
+/// the limit, and whether `measured` stays within it.
+fn limit(
+    measured: f64,
+    base: u128,
+    bound: Bound,
+    slack: f64,
+) -> (&'static str, f64, bool) {
+    match bound {
+        Bound::Ceiling => {
+            let cap = base as f64 * slack;
+            ("cap", cap, measured <= cap)
+        }
+        Bound::Floor => {
+            let floor = base as f64 / slack;
+            ("floor", floor, measured >= floor)
+        }
+    }
 }
 
 /// Whether `line` holds `key`'s entry.
@@ -110,6 +164,18 @@ mod tests {
         assert!(holds(moved[0].0, "serve_p99_us"));
         assert_eq!(moved[0].1, "    \"serve_p99_us\": 1234,");
         assert_eq!(lookup(&out, "serve_p99_us"), Some(1234));
+    }
+
+    #[test]
+    fn limits_admit_exactly_the_slack() {
+        let cap = limit(400.0, 200, Bound::Ceiling, 2.0);
+        assert_eq!(cap, ("cap", 400.0, true));
+        assert!(!limit(400.5, 200, Bound::Ceiling, 2.0).2);
+        assert_eq!(limit(50.0, 100, Bound::Floor, 2.0), ("floor", 50.0, true));
+        assert!(!limit(49.5, 100, Bound::Floor, 2.0).2);
+        // A faster run always passes, however far it moved.
+        assert!(limit(1.0, 200, Bound::Ceiling, 1.5).2);
+        assert!(limit(1e9, 100, Bound::Floor, 1.5).2);
     }
 
     #[test]

@@ -21,14 +21,20 @@
 //! Measured numbers land in BENCH_pipeline.json's `seccomp` section
 //! (suppress with `--no-json`).
 //!
-//! Usage: `seccomp_smoke [--packages N] [--no-json]`
+//! **Check mode** (`--check`, used by CI): never rewrites
+//! BENCH_pipeline.json; instead the batch time must stay within
+//! [`CHECK_SLACK`]× the committed `seccomp_batch_synth_ms`. It refuses
+//! to run unless `--packages` equals the committed
+//! `seccomp_batch_packages`, so the two times measure the same batch.
+//!
+//! Usage: `seccomp_smoke [--packages N] [--no-json] [--check]`
 //! (internal: `--child <journal>` runs the to-be-crashed batch).
 
 use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
 
-use apistudy_bench::record;
+use apistudy_bench::{check_against_recorded, record, recorded, Bound};
 use apistudy_core::{
     synthesize_fleet, synthesize_fleet_journaled, FleetOptions, FleetReport,
     Study,
@@ -41,9 +47,16 @@ use apistudy_corpus::Scale;
 const MIN_DEPTH_RATIO: f64 = 4.0;
 
 /// Wall-clock budget for the batch synthesis itself (pipeline
-/// measurement excluded): thousands of filters, each probed 4097 times
-/// in two layouts and bit-verified, parallelized over the worker pool.
+/// measurement excluded). Only a backstop: since each filter is probed
+/// over intervals of syscall numbers rather than once per number, the
+/// 30,000-package batch takes about a third of a second, so this budget
+/// would admit any regression. `--check` holds the batch to its
+/// committed time instead.
 const MAX_BATCH_SECS: f64 = 120.0;
+
+/// A `--check` run's batch time may be at most this factor above the
+/// committed `seccomp_batch_synth_ms`.
+const CHECK_SLACK: f64 = 2.0;
 
 fn reference_study() -> Study {
     Study::run(Scale { packages: 150, installations: 14_250 }, 2016)
@@ -186,12 +199,13 @@ fn crash_resume_gate(
 fn main() {
     let mut packages = 3000usize;
     let mut write_json = true;
+    let mut check = false;
     let mut child: Option<String> = None;
     let mut args = std::env::args().skip(1);
     let parse = |v: Option<String>| -> usize {
         v.and_then(|s| s.parse().ok()).unwrap_or_else(|| {
             eprintln!(
-                "usage: seccomp_smoke [--packages N] [--no-json]"
+                "usage: seccomp_smoke [--packages N] [--no-json] [--check]"
             );
             std::process::exit(2)
         })
@@ -200,6 +214,10 @@ fn main() {
         match arg.as_str() {
             "--packages" => packages = parse(args.next()),
             "--no-json" => write_json = false,
+            "--check" => {
+                check = true;
+                write_json = false;
+            }
             "--child" => child = args.next(),
             _ => {
                 parse(None);
@@ -208,6 +226,15 @@ fn main() {
     }
     if let Some(journal) = child {
         run_child(Path::new(&journal), packages);
+    }
+    let baseline = recorded("seccomp_batch_packages");
+    if check && baseline != Some(packages as u128) {
+        let committed = baseline.map_or("none".to_owned(), |n| n.to_string());
+        eprintln!(
+            "--check needs --packages equal to the committed \
+             seccomp_batch_packages ({committed}), not {packages}"
+        );
+        std::process::exit(2);
     }
 
     let (tree_max, linear_max, ratio) = equivalence_gate();
@@ -243,6 +270,16 @@ fn main() {
          bit-identical",
         stats.replayed, stats.appended
     );
+    if check
+        && !check_against_recorded(
+            "seccomp_batch_synth_ms",
+            elapsed.as_secs_f64() * 1e3,
+            Bound::Ceiling,
+            CHECK_SLACK,
+        )
+    {
+        std::process::exit(1);
+    }
 
     if write_json {
         if let Err(e) = record(&[

@@ -38,7 +38,7 @@ use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use apistudy_bench::{record, recorded};
+use apistudy_bench::{check_against_recorded, record, Bound};
 use apistudy_catalog::Api;
 use apistudy_core::{
     greedy_suggestions, Client, Metrics, Request, Response, RetryPolicy,
@@ -217,32 +217,6 @@ fn batch_load(
 fn percentile(sorted: &[u128], p: f64) -> u128 {
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx]
-}
-
-/// `--check`: compare the measured latency-wave numbers against the
-/// committed baseline; a regression past [`CHECK_SLACK`] fails the run
-/// even if the absolute gates still pass.
-fn check_against_recorded(p99_us: u128, qps: f64) -> bool {
-    let mut ok = true;
-    if let Some(base) = recorded("serve_p99_us") {
-        let cap = base as f64 * CHECK_SLACK;
-        println!(
-            "check: p99 {p99_us} us vs recorded {base} us (cap {cap:.0})"
-        );
-        if p99_us as f64 > cap {
-            eprintln!("FAIL: p99 regressed past {CHECK_SLACK}x baseline");
-            ok = false;
-        }
-    }
-    if let Some(base) = recorded("serve_qps") {
-        let floor = base as f64 / CHECK_SLACK;
-        println!("check: {qps:.0} qps vs recorded {base} (floor {floor:.0})");
-        if qps < floor {
-            eprintln!("FAIL: qps regressed past {CHECK_SLACK}x baseline");
-            ok = false;
-        }
-    }
-    ok
 }
 
 /// Spawns the real binary serving the reference corpus, parses the
@@ -558,8 +532,18 @@ fn main() {
         );
         ok = false;
     }
-    if check && !check_against_recorded(p99 / 1000, qps) {
-        ok = false;
+    // `--check`: a regression past CHECK_SLACK of the committed
+    // baseline fails the run even if the absolute gates still pass.
+    if check {
+        let p99_ok = check_against_recorded(
+            "serve_p99_us",
+            (p99 / 1000) as f64,
+            Bound::Ceiling,
+            CHECK_SLACK,
+        );
+        let qps_ok =
+            check_against_recorded("serve_qps", qps, Bound::Floor, CHECK_SLACK);
+        ok &= p99_ok && qps_ok;
     }
     if !ok {
         std::process::exit(1);

@@ -13,4 +13,4 @@ pub mod artifacts;
 pub mod bench_json;
 
 pub use artifacts::{render, Ctx, ARTIFACT_IDS};
-pub use bench_json::{record, recorded};
+pub use bench_json::{check_against_recorded, record, recorded, Bound};

@@ -446,10 +446,13 @@ impl DepthProfile {
     }
 }
 
-/// Probes a filter's eval depth for every `nr` in `0..=max_nr`. Returns
-/// `None` if any evaluation is malformed (which the generators never
-/// produce), or if `max_nr` is `u32::MAX`, whose `2^32` probes do not fit
-/// [`DepthProfile::evals`].
+/// Probes a filter's eval depth for every `nr` in `0..=max_nr`: exactly
+/// what a [`run_filter_traced`] call per number would give, computed
+/// over intervals of numbers that take the same path (see
+/// [`probe_filter`]), so the cost stops growing with `max_nr` once it
+/// is above every operand. Returns `None` if any number's evaluation is
+/// malformed (which the generators never produce), or if `max_nr` is
+/// `u32::MAX`, whose `2^32` probes do not fit [`DepthProfile::evals`].
 pub fn depth_profile(program: &BpfProgram, max_nr: u32) -> Option<DepthProfile> {
     probe_filter(program, max_nr, None).map(|probe| probe.profile)
 }
@@ -465,10 +468,83 @@ pub(crate) struct FilterProbe {
     pub(crate) first_mismatch: Option<u32>,
 }
 
-/// Runs `program` through [`run_filter_traced`] once for every `nr` in
-/// `0..=max_nr`: each step count feeds the depth profile and, given the
-/// sorted allow-set, each verdict is checked against it. Returns `None`
-/// if any evaluation is malformed, or, before evaluating anything, if
+/// The accumulator along one path of the walk in [`probe_filter`].
+#[derive(Clone, Copy)]
+enum Acc {
+    /// A value every number of the path's interval shares.
+    Const(u32),
+    /// The syscall number itself.
+    Nr,
+}
+
+/// One path of the walk in [`probe_filter`]: every number of `lo..=hi`
+/// reaches `pc` after `steps` instructions with accumulator `acc`.
+#[derive(Clone, Copy)]
+struct Path {
+    pc: usize,
+    steps: u32,
+    lo: u32,
+    hi: u32,
+    acc: Acc,
+}
+
+/// The numbers a conditional jump with operand `k` takes, as one
+/// interval: `jeq` takes `k` alone, `jge` everything from `k` up, and
+/// `jgt` everything above `k`, which for `k = u32::MAX` is nothing.
+fn taken_interval(code: u16, k: u32) -> Option<(u32, u32)> {
+    match code {
+        JMP_JEQ_K => Some((k, k)),
+        JMP_JGE_K => Some((k, u32::MAX)),
+        _ => k.checked_add(1).map(|k| (k, u32::MAX)),
+    }
+}
+
+/// The lowest number of `lo..=hi` whose membership in the sorted, unique
+/// `allow` differs from `allowed`, the verdict every number of the
+/// interval got.
+fn first_disagreement(
+    allow: &[u32],
+    lo: u32,
+    hi: u32,
+    allowed: bool,
+) -> Option<u32> {
+    let rest = &allow[allow.partition_point(|&a| a < lo)..];
+    if !allowed {
+        // The first allowed number at or above `lo`, if it is in range.
+        return rest.first().copied().filter(|&a| a <= hi);
+    }
+    // Entries are unique and ascending, so `rest[hi - lo] == hi` holds
+    // exactly when `rest` starts with every number of `lo..=hi`.
+    if rest.get((hi - lo) as usize) == Some(&hi) {
+        return None;
+    }
+    let present =
+        rest.iter().zip(lo..=hi).take_while(|(a, n)| *a == n).count();
+    Some(lo + present as u32)
+}
+
+/// Computes what [`run_filter_traced`] would give for every `nr` in
+/// `0..=max_nr` (matching architecture) in one walk over intervals of
+/// numbers: each step count feeds the depth profile and, given the
+/// sorted allow-set, each verdict is checked against it.
+///
+/// A filter only compares the loaded `nr` with constants, so every
+/// number of an interval that takes the same branches gets the same
+/// verdict after the same number of steps. The walk carries an interval
+/// and the accumulator (a constant, or "equal to `nr`") down the
+/// program on an explicit stack. A conditional jump on `nr` splits the
+/// interval into the part that jumps and the part or parts that fall
+/// through; a `ja`, or a jump on a constant, only moves `pc`. At a `ret`
+/// the whole interval is accounted at once: `steps × len` into the
+/// total, and the first number, if any, whose verdict disagrees with the
+/// allow-set. The finished intervals partition `0..=max_nr`, and jumps
+/// only go forward, so the walk executes no more instructions than the
+/// per-number loop; for the generated layouts, how many it executes
+/// depends on the coalesced ranges, not on `max_nr`.
+///
+/// Returns `None` if any number's evaluation is malformed (it runs off
+/// the end, meets an unknown `ld` offset or opcode, or exceeds
+/// [`BPF_MAXINSNS`] steps), or, before evaluating anything, if
 /// `max_nr + 1` probes do not fit [`DepthProfile::evals`].
 pub(crate) fn probe_filter(
     program: &BpfProgram,
@@ -478,23 +554,72 @@ pub(crate) fn probe_filter(
     let evals = max_nr.checked_add(1)?;
     let mut max = 0u32;
     let mut total = 0u64;
-    let mut first_mismatch = None;
-    // `allow[next]` is the smallest allowed number not below `nr`.
-    let mut next = 0usize;
-    for nr in 0..=max_nr {
-        let (verdict, steps) = run_filter_traced(
-            program,
-            SeccompData { nr, arch: AUDIT_ARCH_X86_64 },
-        )?;
+    let mut first_mismatch: Option<u32> = None;
+    let start = Path { pc: 0, steps: 0, lo: 0, hi: max_nr, acc: Acc::Const(0) };
+    let mut stack = vec![start];
+    while let Some(mut path) = stack.pop() {
+        loop {
+            let insn = *program.insns.get(path.pc)?;
+            path.steps += 1;
+            if path.steps as usize > BPF_MAXINSNS {
+                return None;
+            }
+            match insn.code {
+                LD_W_ABS => {
+                    path.acc = match insn.k {
+                        OFF_NR => Acc::Nr,
+                        OFF_ARCH => Acc::Const(AUDIT_ARCH_X86_64),
+                        _ => return None,
+                    };
+                    path.pc += 1;
+                }
+                JMP_JA => path.pc += 1 + insn.k as usize,
+                JMP_JEQ_K | JMP_JGE_K | JMP_JGT_K => {
+                    let jt = path.pc + 1 + usize::from(insn.jt);
+                    let jf = path.pc + 1 + usize::from(insn.jf);
+                    let taken = taken_interval(insn.code, insn.k);
+                    match path.acc {
+                        Acc::Const(c) => {
+                            let hit = taken
+                                .is_some_and(|(lo, hi)| (lo..=hi).contains(&c));
+                            path.pc = if hit { jt } else { jf };
+                        }
+                        Acc::Nr => {
+                            let Path { lo, hi, .. } = path;
+                            let jumps = taken
+                                .map(|(t_lo, t_hi)| (t_lo.max(lo), t_hi.min(hi)))
+                                .filter(|(t_lo, t_hi)| t_lo <= t_hi);
+                            let Some((t_lo, t_hi)) = jumps else {
+                                path.pc = jf;
+                                continue;
+                            };
+                            // Below and above the taken part fall through.
+                            if t_lo > lo {
+                                let hi = t_lo - 1;
+                                stack.push(Path { pc: jf, hi, ..path });
+                            }
+                            if t_hi < hi {
+                                let lo = t_hi + 1;
+                                stack.push(Path { pc: jf, lo, ..path });
+                            }
+                            path = Path { pc: jt, lo: t_lo, hi: t_hi, ..path };
+                        }
+                    }
+                }
+                RET_K => break,
+                _ => return None,
+            }
+        }
+        let Path { pc, steps, lo, hi, .. } = path;
         max = max.max(steps);
-        total += u64::from(steps);
-        if let (Some(allow), None) = (allow, first_mismatch) {
-            while allow.get(next).is_some_and(|&a| a < nr) {
-                next += 1;
-            }
-            if (verdict == RET_ALLOW) != (allow.get(next) == Some(&nr)) {
-                first_mismatch = Some(nr);
-            }
+        total += u64::from(steps) * (u64::from(hi - lo) + 1);
+        let unsettled = first_mismatch.is_none_or(|m| m > lo);
+        if let Some(allow) = allow.filter(|_| unsettled) {
+            let allowed = program.insns[pc].k == RET_ALLOW;
+            first_mismatch = first_mismatch
+                .into_iter()
+                .chain(first_disagreement(allow, lo, hi, allowed))
+                .min();
         }
     }
     let profile = DepthProfile { max, total, evals };
@@ -574,7 +699,7 @@ pub fn seccomp_filter(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -736,10 +861,10 @@ mod tests {
         }
     }
 
-    /// The two passes the probe folds into one: a depth sweep over
-    /// `run_filter_traced`, then a `run_filter` scan that looks each nr
-    /// up in the allow-set.
-    fn two_pass(
+    /// The per-number reference the walk must reproduce: a depth sweep
+    /// over `run_filter_traced`, then a `run_filter` scan that looks each
+    /// nr up in the allow-set.
+    pub(crate) fn two_pass(
         program: &BpfProgram,
         max_nr: u32,
         allow: &[u32],
@@ -761,10 +886,18 @@ mod tests {
     }
 
     /// Changes one field of one instruction: `kind` 1 an opcode, 2 an
-    /// `ld` offset, 3 a jump offset. `at` picks the instruction among
-    /// those the kind applies to, `value` the new field. Kind 0 leaves
-    /// the program alone.
-    fn mutate(program: &mut BpfProgram, kind: u32, at: u32, value: u32) {
+    /// `ld` offset, 3 a jump offset, 4 a conditional jump's operand, set
+    /// to an end of the probed range `0..=max_nr`, just past it, or the
+    /// top of the number space (`jgt u32::MAX` is never taken). `at`
+    /// picks the instruction among those the kind applies to, `value`
+    /// the new field. Kind 0 leaves the program alone.
+    fn mutate(
+        program: &mut BpfProgram,
+        kind: u32,
+        at: u32,
+        value: u32,
+        max_nr: u32,
+    ) {
         const OPCODES: [u16; 7] =
             [LD_W_ABS, JMP_JA, JMP_JEQ_K, JMP_JGE_K, JMP_JGT_K, RET_K, 0x07];
         let applies = |insn: &BpfInsn| match kind {
@@ -774,6 +907,7 @@ mod tests {
                 insn.code,
                 JMP_JA | JMP_JEQ_K | JMP_JGE_K | JMP_JGT_K
             ),
+            4 => matches!(insn.code, JMP_JEQ_K | JMP_JGE_K | JMP_JGT_K),
             _ => false,
         };
         let sites: Vec<usize> = (0..program.len())
@@ -786,9 +920,12 @@ mod tests {
         // Mostly short hops, which keep the program in bounds but send
         // it down the wrong branch; sometimes far ones off its end.
         let offset = if value & 2 == 0 { (value >> 2) % 4 } else { value >> 2 };
+        let operands =
+            [0, max_nr, max_nr.saturating_add(1), u32::MAX - 1, u32::MAX];
         match kind {
             1 => insn.code = OPCODES[value as usize % OPCODES.len()],
             2 => insn.k = [OFF_NR, OFF_ARCH, 8, value][value as usize % 4],
+            4 => insn.k = operands[value as usize % operands.len()],
             _ if insn.code == JMP_JA => insn.k = offset,
             _ if value & 1 == 0 => insn.jt = offset as u8,
             _ => insn.jf = offset as u8,
@@ -796,13 +933,15 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        // 256 cases take about 1.7 s in a debug build on a 2-core x86-64
+        // machine, nearly all of it in the per-number reference.
+        #![proptest_config(ProptestConfig::with_cases(256))]
         #[test]
         fn probe_matches_the_two_pass_reference(
             runs in proptest::collection::vec((0u32..4200, 0u32..48), 0..24),
             singles in proptest::collection::btree_set(0u32..4200, 0..400),
             max_nr in 0u32..4300,
-            mutation in (0u32..4, any::<u32>(), any::<u32>()),
+            mutation in (0u32..5, any::<u32>(), any::<u32>()),
         ) {
             // Runs coalesce into ranges; up to 400 singletons fragment the
             // set past what the linear chain's 8-bit offsets can assemble.
@@ -817,7 +956,7 @@ mod tests {
             ];
             for mut program in programs.into_iter().flatten() {
                 let (kind, at, value) = mutation;
-                mutate(&mut program, kind, at, value);
+                mutate(&mut program, kind, at, value, max_nr);
                 let want = two_pass(&program, max_nr, &allow);
                 let probe = probe_filter(&program, max_nr, Some(&allow));
                 prop_assert_eq!(
@@ -839,9 +978,45 @@ mod tests {
     }
 
     #[test]
+    fn walk_matches_the_reference_at_the_edges_of_the_number_space() {
+        // One comparison, taken to ALLOW and falling through to KILL, with
+        // the operands where splitting an interval can go wrong: the ends
+        // of the probed range, just past it, and the top of the number
+        // space, where `jgt u32::MAX` is never taken. Without the `ld`,
+        // the comparison sees the accumulator's initial 0.
+        for max_nr in [0, 1, 300] {
+            let sets = [vec![], vec![1], (0..=max_nr).collect()];
+            for code in [JMP_JEQ_K, JMP_JGE_K, JMP_JGT_K] {
+                for k in [0, 1, max_nr, max_nr + 1, u32::MAX - 1, u32::MAX] {
+                    for load in [true, false] {
+                        let load = load
+                            .then(|| BpfInsn::new(LD_W_ABS, 0, 0, OFF_NR));
+                        let insns = load.into_iter().chain([
+                            BpfInsn::new(code, 0, 1, k),
+                            BpfInsn::new(RET_K, 0, 0, RET_ALLOW),
+                            BpfInsn::new(RET_K, 0, 0, RET_KILL),
+                        ]);
+                        let program = BpfProgram { insns: insns.collect() };
+                        for allow in &sets {
+                            let probe =
+                                probe_filter(&program, max_nr, Some(allow));
+                            assert_eq!(
+                                probe.map(|p| (p.profile, p.first_mismatch)),
+                                two_pass(&program, max_nr, allow),
+                                "max_nr {max_nr}, allow {allow:?}:\n{}",
+                                program.disassemble()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn probe_refuses_a_ceiling_whose_eval_count_overflows() {
         // `u32::MAX + 1` evaluations do not fit `DepthProfile::evals`; the
-        // refusal comes before any of the 2^32 interpretations.
+        // probe refuses the ceiling before it walks anything.
         let allow = [0, 1, 2, 59];
         for p in both(&allow) {
             assert_eq!(probe_filter(&p, u32::MAX, None), None);
@@ -851,6 +1026,60 @@ mod tests {
             assert_eq!(one.profile.evals, 1);
             assert_eq!(one.first_mismatch, None);
         }
+    }
+
+    #[test]
+    fn reference_filters_hold_over_the_whole_32_bit_number_space() {
+        // The kernel hands a filter any 32-bit nr: x32 calls, for one,
+        // arrive under AUDIT_ARCH_X86_64 with bit 0x4000_0000 set. Every
+        // operand on `nr` lies below 4097, so every number from 4097 up
+        // takes the same rightmost path, and the walk over
+        // 0..=u32::MAX - 1 must equal the concrete total over 0..=4096
+        // plus that path's steps for each number above.
+        use apistudy_corpus::{CalibrationSpec, Scale, SynthRepo};
+        let repo = SynthRepo::new(
+            Scale { packages: 150, installations: 14_250 },
+            CalibrationSpec::default(),
+            2016,
+        );
+        let data = crate::pipeline::StudyData::from_synth(&repo);
+        let top = u32::MAX - 1;
+        let mut programs = 0;
+        for record in &data.packages {
+            let allow: Vec<u32> = record.footprint.syscalls().collect();
+            let layouts = [
+                BpfProgram::try_allow_tree(&allow).ok(),
+                BpfProgram::try_allow_list(&allow).ok(),
+            ];
+            for program in layouts.into_iter().flatten() {
+                let jumps = [JMP_JEQ_K, JMP_JGE_K, JMP_JGT_K];
+                assert!(program
+                    .insns
+                    .iter()
+                    .filter(|i| jumps.contains(&i.code))
+                    .all(|i| i.k == AUDIT_ARCH_X86_64 || i.k <= 4096));
+                let steps = |nr| {
+                    let data = SeccompData { nr, arch: AUDIT_ARCH_X86_64 };
+                    run_filter_traced(&program, data).expect("well-formed").1
+                };
+                let low: Vec<u32> = (0..=4096).map(steps).collect();
+                let above = steps(4097);
+                let profile = DepthProfile {
+                    max: low.iter().copied().fold(above, u32::max),
+                    total: low.iter().copied().map(u64::from).sum::<u64>()
+                        + u64::from(top - 4096) * u64::from(above),
+                    evals: u32::MAX,
+                };
+                assert_eq!(
+                    probe_filter(&program, top, Some(&allow)),
+                    Some(FilterProbe { profile, first_mismatch: None }),
+                    "{}",
+                    record.name
+                );
+                programs += 1;
+            }
+        }
+        assert_eq!(programs, 2 * data.packages.len(), "every chain fits");
     }
 
     #[test]

@@ -17,17 +17,18 @@
 //!   measured: the instructions a prefix-sharing filter bank would store
 //!   once instead of per filter (every program shares at least the
 //!   4-instruction arch prologue).
-//! - **Eval-depth accounting** — each unique filter is interpreted
-//!   once for every syscall number in `0..=probe_max_nr`, for both the
-//!   production tree layout and the legacy linear chain. That one pass
-//!   per layout gives exact max/avg executed-instruction depths and,
-//!   with [`FleetOptions::verify`], bit-verified equivalence against the
-//!   reference allow-set.
-//! - **Crash-safe resume** — the expensive measurements are journaled
-//!   per unique allow-set ([`JournalRecord::FleetFilter`]); a resumed
-//!   run replays them (cross-checked against the rebuilt programs) and
-//!   recomputes only what is missing, bit-identical to an uninterrupted
-//!   run.
+//! - **Eval-depth accounting** — each unique filter is probed over every
+//!   syscall number in `0..=probe_max_nr`, for both the production tree
+//!   layout and the legacy linear chain. The probe walks intervals of
+//!   numbers that take the same path rather than interpreting one number
+//!   at a time, so its cost follows the coalesced ranges, not the size
+//!   of the number range. That one walk per layout gives exact max/avg
+//!   executed-instruction depths and, with [`FleetOptions::verify`],
+//!   bit-verified equivalence against the reference allow-set.
+//! - **Crash-safe resume** — the measurements are journaled per unique
+//!   allow-set ([`JournalRecord::FleetFilter`]); a resumed run replays
+//!   them (cross-checked against the rebuilt programs) and recomputes
+//!   only what is missing, bit-identical to an uninterrupted run.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -301,8 +302,8 @@ fn probe_evals(opts: FleetOptions) -> Result<u32, FleetError> {
     })
 }
 
-/// Interprets each layout once for every probed nr: one pass per program
-/// gives its depth profile and, with [`FleetOptions::verify`], its first
+/// Probes each layout over every probed nr: one walk per program gives
+/// its depth profile and, with [`FleetOptions::verify`], its first
 /// verdict that disagrees with the allow-set `numbers`. Errors keep a
 /// fixed order: a malformed tree, then a malformed linear chain, then a
 /// [`FleetError::Verification`] at the lowest disagreeing nr across both
@@ -479,9 +480,8 @@ fn synthesize_inner(
     }
 
     // Stage 3: build + measure each unique set in parallel. Programs are
-    // always rebuilt (cheap, and lets a resume cross-check the journal);
-    // the exhaustive probe pass over both layouts — the expensive part —
-    // is skipped for replayed sets.
+    // always rebuilt (it lets a resume cross-check the journal); the
+    // probe of both layouts is skipped for replayed sets.
     let (measured, _) = par_map_indexed(
         sets.len(),
         None,
@@ -667,10 +667,8 @@ pub fn fleet_table(report: &FleetReport, top: usize) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seccomp_bpf::{
-        depth_profile, run_filter, SeccompData, AUDIT_ARCH_X86_64, RET_ALLOW,
-        RET_KILL,
-    };
+    use crate::seccomp_bpf::tests::two_pass;
+    use crate::seccomp_bpf::RET_KILL;
     use apistudy_corpus::{CalibrationSpec, Scale};
 
     fn small_study() -> (SynthRepo, StudyData) {
@@ -863,9 +861,10 @@ mod tests {
         );
     }
 
-    /// The report rebuilt from the public two-pass primitives: per unique
-    /// allow-set, `depth_profile` for each layout and, with `verify`, a
-    /// `run_filter` check of every probed nr against the set.
+    /// The report rebuilt from the per-number interpreter: per unique
+    /// allow-set, a `run_filter_traced` sweep for each layout's depths
+    /// and, with `verify`, a `run_filter` check of every probed nr
+    /// against the set.
     fn two_pass_report(data: &StudyData, opts: FleetOptions) -> FleetReport {
         let mut by_hash: HashMap<u64, u32> = HashMap::new();
         let mut unique: Vec<UniqueFilterStats> = Vec::new();
@@ -877,22 +876,17 @@ mod tests {
             let u = *by_hash.entry(allow_hash).or_insert_with(|| {
                 let tree = BpfProgram::try_allow_tree(&numbers).expect("tree");
                 let linear = BpfProgram::try_allow_list(&numbers).ok();
-                let tp = depth_profile(&tree, opts.probe_max_nr)
-                    .expect("well-formed tree");
-                let lp = linear.as_ref().map(|p| {
-                    depth_profile(p, opts.probe_max_nr)
-                        .expect("well-formed chain")
-                });
-                if opts.verify {
-                    for nr in 0..=opts.probe_max_nr {
-                        let want = numbers.binary_search(&nr).is_ok();
-                        let data = SeccompData { nr, arch: AUDIT_ARCH_X86_64 };
-                        for p in std::iter::once(&tree).chain(&linear) {
-                            let allowed = run_filter(p, data) == Some(RET_ALLOW);
-                            assert_eq!(allowed, want, "nr {nr}");
-                        }
+                let reference = |p: &BpfProgram| {
+                    let (profile, mismatch) =
+                        two_pass(p, opts.probe_max_nr, &numbers)
+                            .expect("well-formed filter");
+                    if opts.verify {
+                        assert_eq!(mismatch, None, "{}", p.disassemble());
                     }
-                }
+                    profile
+                };
+                let tp = reference(&tree);
+                let lp = linear.as_ref().map(reference);
                 unique.push(UniqueFilterStats {
                     allow_hash,
                     syscalls: numbers.len() as u32,

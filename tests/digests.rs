@@ -11,8 +11,17 @@
 //! The constants were recorded before the ELF writer, the reader and the
 //! analyzer's scan loop were optimised. A change that moves one generated
 //! byte, one analysis field or one decoded-instruction count fails here.
+//!
+//! The fleet seccomp report of the same corpus is pinned the same way,
+//! every field of it, under three probe plans. Those constants were
+//! recorded while each filter was still interpreted once per syscall
+//! number, before the probe walked intervals of numbers instead.
 
 use apistudy::analysis::{AnalysisOptions, BinaryAnalysis, Footprint};
+use apistudy::core::{
+    synthesize_fleet, FleetOptions, FleetReport, JournalStats, StudyData,
+    UniqueFilterStats,
+};
 use apistudy::corpus::{CalibrationSpec, PackageFile, Scale, SynthRepo};
 use apistudy::elf::{BinaryClass, ElfError, ElfFile};
 
@@ -29,6 +38,13 @@ const ANALYSES: [(Option<u64>, u64); 4] = [
     (Some(3), 0x39ef_ee2e_5f5c_498c),
     (Some(50), 0xc071_de9a_655b_a716),
     (Some(1000), 0x2bdc_74d0_f0a2_4d6a),
+];
+
+/// Digest of the fleet report, per `(probe_max_nr, verify)` plan.
+const FLEETS: [(u32, bool, u64); 3] = [
+    (4096, true, 0xb453_453e_9f2a_dc40),
+    (4096, false, 0x0351_5b06_b23f_f481),
+    (511, true, 0xad5e_2eaf_c1e7_7455),
 ];
 
 /// 64-bit FNV-1a over length-prefixed little-endian fields.
@@ -138,6 +154,80 @@ impl Digest {
         self.opt(ba.entry.map(|e| e as u64));
         self.u64(ba.instructions);
     }
+
+    /// Every field of the report, destructured so that a new field fails
+    /// to compile here until it is hashed.
+    fn fleet(&mut self, report: &FleetReport) {
+        let FleetReport {
+            packages,
+            package_unique,
+            unique,
+            catalog_syscalls,
+            probe_max_nr,
+            verified,
+            journal,
+        } = report;
+        self.u64(u64::from(*packages));
+        self.len(package_unique.len());
+        for &u in package_unique {
+            self.u64(u64::from(u));
+        }
+        self.len(unique.len());
+        for u in unique {
+            let UniqueFilterStats {
+                allow_hash,
+                syscalls,
+                ranges,
+                packages,
+                mass,
+                tree_len,
+                linear_len,
+                tree_max_depth,
+                tree_depth_total,
+                linear_max_depth,
+                linear_depth_total,
+                prefix_shared_insns,
+                probe_evals,
+                replayed,
+            } = u;
+            self.u64(*allow_hash);
+            self.u64(u64::from(*syscalls));
+            self.u64(u64::from(*ranges));
+            self.u64(u64::from(*packages));
+            self.u64(mass.to_bits());
+            self.u64(u64::from(*tree_len));
+            self.opt(linear_len.map(u64::from));
+            self.u64(u64::from(*tree_max_depth));
+            self.u64(*tree_depth_total);
+            self.u64(u64::from(*linear_max_depth));
+            self.u64(*linear_depth_total);
+            self.u64(u64::from(*prefix_shared_insns));
+            self.u64(u64::from(*probe_evals));
+            self.u64(u64::from(*replayed));
+        }
+        self.u64(u64::from(*catalog_syscalls));
+        self.u64(u64::from(*probe_max_nr));
+        self.u64(u64::from(*verified));
+        match journal {
+            None => self.u64(0),
+            Some(JournalStats { replayed, appended }) => {
+                self.u64(1);
+                self.u64(*replayed);
+                self.u64(*appended);
+            }
+        }
+    }
+}
+
+fn reference_repo() -> SynthRepo {
+    SynthRepo::new(
+        Scale {
+            packages: PACKAGES,
+            installations: PACKAGES as u64 * 95,
+        },
+        CalibrationSpec::default(),
+        SEED,
+    )
 }
 
 fn hex(v: u64) -> String {
@@ -146,14 +236,7 @@ fn hex(v: u64) -> String {
 
 #[test]
 fn generated_bytes_and_analyses_match_their_golden_digests() {
-    let repo = SynthRepo::new(
-        Scale {
-            packages: PACKAGES,
-            installations: PACKAGES as u64 * 95,
-        },
-        CalibrationSpec::default(),
-        SEED,
-    );
+    let repo = reference_repo();
     let options: Vec<AnalysisOptions> = ANALYSES
         .iter()
         .map(|&(budget, _)| match budget {
@@ -203,4 +286,23 @@ fn generated_bytes_and_analyses_match_their_golden_digests() {
             "analyses moved (decode budget {budget:?})"
         );
     }
+}
+
+#[test]
+fn fleet_reports_match_their_golden_digests() {
+    let data = StudyData::from_synth(&reference_repo());
+    let plan =
+        |opts: FleetOptions, digest: u64| format!("{opts:?}: {}", hex(digest));
+    let mut got = Vec::new();
+    let mut want = Vec::new();
+    for (probe_max_nr, verify, digest) in FLEETS {
+        let opts = FleetOptions { probe_max_nr, verify };
+        let report = synthesize_fleet(&data, opts).expect("reference fleet");
+        assert_eq!(report.packages as usize, PACKAGES);
+        let mut d = Digest::new();
+        d.fleet(&report);
+        got.push(plan(opts, d.0));
+        want.push(plan(opts, digest));
+    }
+    assert_eq!(got, want, "fleet reports moved");
 }
