@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use apistudy_analysis::{AnalysisOptions, BinaryAnalysis, Linker};
 use apistudy_catalog::{Api, ApiKind, ApiSet, Catalog};
 use apistudy_core::{
-    corruption_sweep_with, AnalysisCache, CacheMode, CompletenessEngine,
+    corruption_sweep, AnalysisCache, CacheMode, CompletenessEngine,
     Metrics, StudyData,
 };
 use apistudy_corpus::{
@@ -181,24 +181,26 @@ fn bench_study(c: &mut Criterion) {
     c.bench_function("sweep_cold", |b| {
         b.iter(|| {
             let cache = AnalysisCache::new(CacheMode::Off);
-            corruption_sweep_with(
+            corruption_sweep(
                 std::hint::black_box(&repo),
                 options,
                 0x5EED,
                 &rates,
                 &cache,
+                None,
             )
         })
     });
     let warm = AnalysisCache::new(CacheMode::Mem);
     c.bench_function("sweep_cached", |b| {
         b.iter(|| {
-            corruption_sweep_with(
+            corruption_sweep(
                 std::hint::black_box(&repo),
                 options,
                 0x5EED,
                 &rates,
                 &warm,
+                None,
             )
         })
     });

@@ -17,7 +17,7 @@ use apistudy_analysis::AnalysisOptions;
 use apistudy_bench::record;
 use apistudy_core::{
     cache::{AnalysisCache, CacheMode},
-    corruption_sweep_with,
+    corruption_sweep,
     pipeline::StudyData,
 };
 use apistudy_corpus::{CalibrationSpec, Scale, SynthRepo};
@@ -77,14 +77,15 @@ fn main() {
     let rates = rates();
     let options = AnalysisOptions::default();
 
+    let sweep = |cache: &AnalysisCache| {
+        corruption_sweep(&repo, options, 0x5EED, &rates, cache, None)
+            .expect("a sweep without a journal does no I/O")
+    };
     let single = time_reps(reps, || {
-        std::hint::black_box(StudyData::from_synth_with(&repo, options));
+        std::hint::black_box(StudyData::from_synth(&repo));
     });
     let cold = time_reps(reps, || {
-        let cache = AnalysisCache::new(CacheMode::Off);
-        std::hint::black_box(corruption_sweep_with(
-            &repo, options, 0x5EED, &rates, &cache,
-        ));
+        std::hint::black_box(sweep(&AnalysisCache::new(CacheMode::Off)));
     });
     // One cache across the repetitions: the first rep warms it, the
     // median then measures the steady-state incremental sweep — the
@@ -92,9 +93,7 @@ fn main() {
     // including the first sees in `disk` mode after one prior process.
     let cache = AnalysisCache::new(CacheMode::Mem);
     let cached = time_reps(reps.max(2), || {
-        std::hint::black_box(corruption_sweep_with(
-            &repo, options, 0x5EED, &rates, &cache,
-        ));
+        std::hint::black_box(sweep(&cache));
     });
 
     let ms = |ns: u128| ns as f64 / 1e6;

@@ -26,7 +26,7 @@ use apistudy_analysis::AnalysisOptions;
 use apistudy_bench::record;
 use apistudy_core::{
     cache::{AnalysisCache, CacheMode},
-    corruption_sweep_journaled, corruption_sweep_with, DegradationPoint,
+    corruption_sweep, DegradationPoint,
 };
 use apistudy_corpus::{CalibrationSpec, Scale, SynthRepo};
 
@@ -149,14 +149,13 @@ fn main() {
     // journal; the half journal is its first 7 records (support set +
     // 6 points), byte-identical to what an interrupted run commits.
     let full_journal = root.join("full.journal");
-    let (reference, full_stats) = corruption_sweep_journaled(
+    let (reference, full_stats) = corruption_sweep(
         &repo,
         options,
         FAULT_SEED,
         &rates,
         &AnalysisCache::new(CacheMode::Off),
-        &full_journal,
-        false,
+        Some((&full_journal, false)),
     )
     .expect("prepare full journal");
     assert_eq!((full_stats.replayed, full_stats.appended), (0, 12));
@@ -171,14 +170,16 @@ fn main() {
     std::fs::create_dir_all(&cache_snapshot).expect("create snapshot dir");
     let warm =
         AnalysisCache::with_dir(CacheMode::Disk, cache_snapshot.clone());
-    corruption_sweep_with(&repo, options, FAULT_SEED, &rates[..7], &warm);
+    corruption_sweep(&repo, options, FAULT_SEED, &rates[..7], &warm, None)
+        .expect("a sweep without a journal does no I/O");
     warm.persist().expect("persist warm cache");
 
     // --- Time the three runs -----------------------------------------
     let cold = time_reps(reps, || {
         let cache = AnalysisCache::new(CacheMode::Off);
         std::hint::black_box(
-            corruption_sweep_with(&repo, options, FAULT_SEED, &rates, &cache),
+            corruption_sweep(&repo, options, FAULT_SEED, &rates, &cache, None)
+                .expect("a sweep without a journal does no I/O"),
         );
     });
 
@@ -194,14 +195,13 @@ fn main() {
         reset_dir_from(&cache_snapshot, &work_cache);
         let cache =
             AnalysisCache::with_dir(CacheMode::Disk, work_cache.clone());
-        let (points, stats) = corruption_sweep_journaled(
+        let (points, stats) = corruption_sweep(
             &repo,
             options,
             FAULT_SEED,
             &rates,
             &cache,
-            &work_journal,
-            true,
+            Some((&work_journal, true)),
         )
         .expect("resume half journal");
         resumed_stats = Some(stats);
@@ -210,14 +210,13 @@ fn main() {
 
     let replay = time_reps(reps, || {
         let cache = AnalysisCache::new(CacheMode::Off);
-        let (points, stats) = corruption_sweep_journaled(
+        let (points, stats) = corruption_sweep(
             &repo,
             options,
             FAULT_SEED,
             &rates,
             &cache,
-            &full_journal,
-            true,
+            Some((&full_journal, true)),
         )
         .expect("replay full journal");
         assert_eq!((stats.replayed, stats.appended), (12, 0));

@@ -24,10 +24,9 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use apistudy_analysis::AnalysisOptions;
 use apistudy_catalog::Api;
 use apistudy_core::{
-    diagnostics::peak_rss_kb, study_sharded, Metrics, StudyData,
+    diagnostics::peak_rss_kb, stream, Metrics, RunOptions, Shards, StudyData,
 };
 use apistudy_corpus::{CalibrationSpec, Scale, SynthRepo};
 
@@ -52,7 +51,16 @@ fn scale(packages: usize) -> Scale {
 fn run_sharded(packages: usize, shard_size: usize) -> StudyData {
     let repo =
         SynthRepo::new(scale(packages), CalibrationSpec::default(), SEED);
-    study_sharded(&repo, AnalysisOptions::default(), shard_size, None)
+    sharded(&repo, shard_size)
+}
+
+fn sharded(repo: &SynthRepo, shard_size: usize) -> StudyData {
+    let opts = RunOptions {
+        shards: Shards::Size(shard_size),
+        ..RunOptions::default()
+    };
+    let (data, _) = stream::run(repo, &opts, None).expect("no store, no I/O");
+    data
 }
 
 /// One scaling-curve sample: run, then report the process peak.
@@ -104,7 +112,7 @@ fn check() {
     let repo =
         SynthRepo::new(scale(600), CalibrationSpec::default(), SEED);
     let inmem = StudyData::from_synth(&repo);
-    let sharded = study_sharded(&repo, AnalysisOptions::default(), 256, None);
+    let sharded = sharded(&repo, 256);
     assert_bit_identical(&inmem, &sharded);
     drop((inmem, sharded, repo));
     println!("identity: sharded == in-memory at 600 packages (bit-exact)");

@@ -247,7 +247,7 @@ fn main() {
     let throughput = f64::from(control.packages) / elapsed.as_secs_f64();
     println!(
         "batch: {} packages -> {} unique filters ({:.1}x dedup) \
-         synthesized + bit-verified in {:.2}s ({throughput:.0} filters/s), \
+         synthesized + bit-verified in {:.2}s ({throughput:.0} packages/s), \
          {} tree insns deduped + {} prefix-shareable, attack surface \
          -{:.1}%",
         control.packages,
@@ -286,7 +286,7 @@ fn main() {
             ("seccomp_batch_packages", u128::from(control.packages)),
             ("seccomp_batch_unique", control.unique.len() as u128),
             ("seccomp_batch_synth_ms", elapsed.as_millis()),
-            ("seccomp_batch_filters_per_s", throughput as u128),
+            ("seccomp_batch_packages_per_s", throughput as u128),
             (
                 "seccomp_dedup_ratio_x100",
                 (control.dedup_ratio() * 100.0) as u128,

@@ -17,11 +17,11 @@ use std::collections::HashSet;
 use std::path::Path;
 
 use apistudy_analysis::AnalysisOptions;
-use apistudy_catalog::{ApiKind, ApiSet, Catalog};
+use apistudy_catalog::{Api, ApiKind, ApiSet, Catalog};
 use apistudy_corpus::{FaultPlan, SynthRepo};
 use apistudy_report::{pct, Align, TextTable};
 
-use crate::cache::{fold_hash, AnalysisCache, CacheMode};
+use crate::cache::{fold_hash, AnalysisCache};
 use crate::journal::{
     catalog_fingerprint, corpus_fingerprint, Journal, JournalError,
     JournalRecord, JournalStats, RunFingerprint, RunKind,
@@ -29,6 +29,7 @@ use crate::journal::{
 use crate::{
     metrics::{weighted_completeness_unindexed, Metrics},
     pipeline::{materialize, StudyData},
+    stream::{self, RunOptions, Shards},
 };
 
 /// How many of the clean baseline's top-ranked syscalls form the fixed
@@ -67,120 +68,149 @@ pub struct DegradationPoint {
 /// *clean* baseline's importance ranking, so the column isolates how
 /// corruption moves the metric rather than how it moves the ranking.
 ///
-/// One [`AnalysisCache`] (mode from `APISTUDY_CACHE`, default `mem`) is
-/// threaded through the baseline and every rate: the clean run warms it,
-/// and each sweep point then re-analyzes only the binaries its
-/// [`FaultPlan`] actually mutated — everything byte-identical to the
-/// baseline is a cache hit. The measured points are bit-identical to an
-/// un-cached sweep (`APISTUDY_CACHE=off` restores one).
-pub fn corruption_sweep(
-    repo: &SynthRepo,
-    options: AnalysisOptions,
-    fault_seed: u64,
-    rates: &[f64],
-) -> Vec<DegradationPoint> {
-    let cache = AnalysisCache::new(CacheMode::from_env());
-    corruption_sweep_with(repo, options, fault_seed, rates, &cache)
-}
-
-/// [`corruption_sweep`] with a caller-supplied cache — the CLI passes its
-/// `--cache`-selected (possibly disk-backed) instance and then reads the
-/// traffic counters back for its footer; benches pass `off`/`mem` caches
-/// to measure cold versus warm sweeps.
-pub fn corruption_sweep_with(
-    repo: &SynthRepo,
-    options: AnalysisOptions,
-    fault_seed: u64,
-    rates: &[f64],
-    cache: &AnalysisCache,
-) -> Vec<DegradationPoint> {
-    // Materialize the corpus once and hold it for the sweep's duration:
-    // every point then clones packages (a memcpy of the corpus's bytes)
-    // instead of re-synthesizing them, which costs over an order of
-    // magnitude more. The memory price is the corpus's byte size (a few
-    // MiB at test scale), paid once instead of regenerated per point.
-    let packages = materialize(repo);
-    let baseline =
-        StudyData::from_packages_cached(repo, &packages, options, Some(cache));
-    let baseline_metrics = Metrics::new(&baseline);
-    let supported: HashSet<u32> = baseline_metrics
-        .importance_ranking(ApiKind::Syscall)
-        .into_iter()
-        .take(SWEEP_SUPPORT_TOP_N)
-        .filter_map(|(api, _)| match api {
-            apistudy_catalog::Api::Syscall(nr) => Some(nr),
-            _ => None,
-        })
-        .collect();
-    // The unsupported mask depends only on the (shared) catalog and the
-    // fixed support set — build it once instead of once per sweep point.
-    let unsupported = baseline_metrics.syscall_unsupported_mask(&supported);
-    rates
-        .iter()
-        .map(|&rate| {
-            let plan = FaultPlan::new(fault_seed, rate);
-            let data = StudyData::from_packages_faulted_cached(
-                repo,
-                &packages,
-                options,
-                &plan,
-                Some(cache),
-            );
-            measure(rate, &data, &unsupported)
-        })
-        .collect()
-}
-
-/// [`corruption_sweep_with`] under a write-ahead journal: the baseline's
-/// support set and every completed sweep point are appended to `journal`
-/// as they finish, and with `resume` the journaled prefix is replayed
-/// instead of recomputed. The returned points are bit-identical to an
-/// uninterrupted (or un-journaled) sweep:
+/// The corpus is materialized once and every run reads it through
+/// `cache`: the clean baseline warms it, and each sweep point then
+/// re-analyzes only the binaries its [`FaultPlan`] actually mutated —
+/// everything byte-identical to the baseline is a cache hit. The measured
+/// points are bit-identical to a sweep under an `off` cache.
+///
+/// With `journal = Some((path, resume))` the sweep runs under a
+/// write-ahead journal: the baseline's support set and every completed
+/// point are appended as they finish, a `Disk`-mode `cache` is persisted
+/// after each append (so a crash loses at most one point's analyses), and
+/// with `resume` the journaled prefix is replayed instead of recomputed.
+/// The returned points are bit-identical to an uninterrupted (or
+/// unjournaled) sweep:
 ///
 /// - replayed points carry the exact f64 bit patterns the original run
 ///   measured (the journal stores bits, never decimal);
 /// - a replayed support set short-circuits the whole baseline pipeline
 ///   run — the unsupported mask is a pure function of the catalog and the
-///   set (see [`Metrics::syscall_unsupported_mask`]), so it is rebuilt
-///   from [`Catalog::linux_3_19`] without touching a single binary;
+///   set, so it is rebuilt from [`Catalog::linux_3_19`] without touching
+///   a single binary;
 /// - the journal header's [`RunFingerprint`] binds the file to this
 ///   corpus, these [`AnalysisOptions`], this catalog, and this fault
 ///   plan (seed + rate grid + support-set size); any drift is refused.
 ///
-/// A `Disk`-mode `cache` is persisted after the baseline and after each
-/// appended point, so a crash loses at most one point's analyses; other
-/// modes make `persist` a no-op.
-pub fn corruption_sweep_journaled(
+/// Without a journal the sweep appends nothing, persists nothing and
+/// computes no fingerprint; its [`JournalStats`] are zero.
+pub fn corruption_sweep(
     repo: &SynthRepo,
     options: AnalysisOptions,
     fault_seed: u64,
     rates: &[f64],
     cache: &AnalysisCache,
-    journal_path: &Path,
-    resume: bool,
+    journal: Option<(&Path, bool)>,
 ) -> Result<(Vec<DegradationPoint>, JournalStats), JournalError> {
-    let fp = RunFingerprint {
+    let (mut journal, records) = match journal {
+        Some((path, resume)) => {
+            let fp = sweep_fingerprint(repo, options, fault_seed, rates);
+            let (journal, records) = if resume {
+                Journal::resume_or_create(path, &fp)?
+            } else {
+                (Journal::create(path, &fp)?, Vec::new())
+            };
+            (Some(journal), records)
+        }
+        None => (None, Vec::new()),
+    };
+    let (support_numbers, mut points) = replay(records, rates)?;
+    let stats = |journal: &Option<Journal>| {
+        journal.as_ref().map_or_else(JournalStats::default, Journal::stats)
+    };
+    if points.len() == rates.len() && support_numbers.is_some() {
+        // Fully replayed: never materialize the corpus, never touch a
+        // binary — the whole sweep costs one journal read.
+        return Ok((points, stats(&journal)));
+    }
+
+    // Materialize the corpus once and hold it for the sweep's duration:
+    // every point then copies only the packages its plan corrupts instead
+    // of re-synthesizing the corpus, which costs over an order of
+    // magnitude more. The memory price is the corpus's byte size (a few
+    // MiB at test scale), paid once instead of regenerated per point.
+    let packages = materialize(repo);
+    let measured = |shards| {
+        let opts = RunOptions {
+            analysis: options,
+            shards,
+            cache: Some(cache),
+            packages: Some(&packages),
+        };
+        stream::run(repo, &opts, None).map(|(data, _)| data)
+    };
+    let support_numbers = match support_numbers {
+        Some(numbers) => numbers,
+        None => {
+            let baseline = measured(Shards::Size(0))?;
+            let numbers: Vec<u32> = Metrics::new(&baseline)
+                .importance_ranking(ApiKind::Syscall)
+                .into_iter()
+                .take(SWEEP_SUPPORT_TOP_N)
+                .filter_map(|(api, _)| match api {
+                    Api::Syscall(nr) => Some(nr),
+                    _ => None,
+                })
+                .collect();
+            if let Some(journal) = &mut journal {
+                journal.append(&JournalRecord::SupportSet(numbers.clone()))?;
+                cache.persist()?;
+            }
+            numbers
+        }
+    };
+    // The mask is a pure function of catalog × support set, which is
+    // what lets a resume skip the baseline.
+    let supported: HashSet<u32> = support_numbers.into_iter().collect();
+    let mut unsupported = ApiSet::new();
+    for d in Catalog::linux_3_19().syscalls.iter() {
+        if !supported.contains(&d.number) {
+            unsupported.insert(Api::Syscall(d.number));
+        }
+    }
+
+    for &rate in &rates[points.len()..] {
+        let data =
+            measured(Shards::Faulted(FaultPlan::new(fault_seed, rate)))?;
+        let point = measure(rate, &data, &unsupported);
+        if let Some(journal) = &mut journal {
+            journal.append(&JournalRecord::SweepPoint(point.clone()))?;
+            cache.persist()?;
+        }
+        points.push(point);
+    }
+    Ok((points, stats(&journal)))
+}
+
+/// The identity of one sweep: corpus, analysis options, catalog, and the
+/// fault plan (seed + rate grid + support-set size).
+fn sweep_fingerprint(
+    repo: &SynthRepo,
+    options: AnalysisOptions,
+    fault_seed: u64,
+    rates: &[f64],
+) -> RunFingerprint {
+    let mut plan = fold_hash(0, fault_seed);
+    for &rate in rates {
+        plan = fold_hash(plan, rate.to_bits());
+    }
+    RunFingerprint {
         kind: RunKind::CorruptionSweep,
         corpus: corpus_fingerprint(repo),
         options: options.fingerprint(),
         catalog: catalog_fingerprint(&Catalog::linux_3_19()),
-        plan: {
-            let mut h = fold_hash(0, fault_seed);
-            for &rate in rates {
-                h = fold_hash(h, rate.to_bits());
-            }
-            fold_hash(h, SWEEP_SUPPORT_TOP_N as u64)
-        },
-    };
-    let (mut journal, records) = if resume {
-        Journal::resume_or_create(journal_path, &fp)?
-    } else {
-        (Journal::create(journal_path, &fp)?, Vec::new())
-    };
+        plan: fold_hash(plan, SWEEP_SUPPORT_TOP_N as u64),
+    }
+}
 
-    // A valid sweep journal is one optional SupportSet followed by sweep
-    // points in rate order; anything else diverged from this code's own
-    // append discipline.
+/// Splits a sweep journal's records into the support set and the
+/// replayed points. A valid sweep journal is one optional `SupportSet`
+/// followed by sweep points in rate order; anything else diverged from
+/// the sweep's own append discipline.
+fn replay(
+    records: Vec<JournalRecord>,
+    rates: &[f64],
+) -> Result<(Option<Vec<u32>>, Vec<DegradationPoint>), JournalError> {
     let mut support_numbers: Option<Vec<u32>> = None;
     let mut replayed: Vec<DegradationPoint> = Vec::new();
     for rec in records {
@@ -220,62 +250,7 @@ pub fn corruption_sweep_journaled(
             }
         }
     }
-
-    let mut points = replayed;
-    if points.len() == rates.len() && support_numbers.is_some() {
-        // Fully replayed: never materialize the corpus, never touch a
-        // binary — the whole sweep costs one journal read.
-        return Ok((points, journal.stats()));
-    }
-
-    let packages = materialize(repo);
-    let support_numbers = match support_numbers {
-        Some(numbers) => numbers,
-        None => {
-            let baseline = StudyData::from_packages_cached(
-                repo, &packages, options, Some(cache),
-            );
-            let numbers: Vec<u32> = Metrics::new(&baseline)
-                .importance_ranking(ApiKind::Syscall)
-                .into_iter()
-                .take(SWEEP_SUPPORT_TOP_N)
-                .filter_map(|(api, _)| match api {
-                    apistudy_catalog::Api::Syscall(nr) => Some(nr),
-                    _ => None,
-                })
-                .collect();
-            journal.append(&JournalRecord::SupportSet(numbers.clone()))?;
-            cache.persist()?;
-            numbers
-        }
-    };
-    // The mask is a pure function of catalog × support set — rebuilding
-    // it here is bit-identical to `syscall_unsupported_mask` on the
-    // baseline run, which is what lets a resume skip the baseline.
-    let supported: HashSet<u32> = support_numbers.iter().copied().collect();
-    let catalog = Catalog::linux_3_19();
-    let mut unsupported = apistudy_catalog::ApiSet::new();
-    for d in catalog.syscalls.iter() {
-        if !supported.contains(&d.number) {
-            unsupported.insert(apistudy_catalog::Api::Syscall(d.number));
-        }
-    }
-
-    for &rate in &rates[points.len()..] {
-        let plan = FaultPlan::new(fault_seed, rate);
-        let data = StudyData::from_packages_faulted_cached(
-            repo,
-            &packages,
-            options,
-            &plan,
-            Some(cache),
-        );
-        let point = measure(rate, &data, &unsupported);
-        journal.append(&JournalRecord::SweepPoint(point.clone()))?;
-        cache.persist()?;
-        points.push(point);
-    }
-    Ok((points, journal.stats()))
+    Ok((support_numbers, replayed))
 }
 
 fn measure(
@@ -361,12 +336,16 @@ mod tests {
             CalibrationSpec::default(),
             0xBEEF,
         );
-        let points = corruption_sweep(
+        let (points, stats) = corruption_sweep(
             &repo,
             AnalysisOptions::default(),
             0xFA11,
             &[0.0, 0.03, 0.08],
-        );
+            &AnalysisCache::new(crate::cache::CacheMode::Mem),
+            None,
+        )
+        .unwrap();
+        assert_eq!(stats, JournalStats::default(), "no journal, no records");
         assert_eq!(points.len(), 3);
         let zero = &points[0];
         assert_eq!(zero.injected, 0);

@@ -63,7 +63,7 @@ const FORMAT: LogFormat = LogFormat {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunKind {
     /// A corruption-degradation sweep
-    /// ([`crate::degradation::corruption_sweep_journaled`]).
+    /// ([`crate::degradation::corruption_sweep`]).
     CorruptionSweep,
     /// A greedy planning run
     /// ([`crate::planner::greedy_suggestions_journaled`]).

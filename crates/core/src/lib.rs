@@ -1,8 +1,11 @@
 //! # apistudy-core
 //!
-//! The primary contribution of the EuroSys'16 study, as a library:
+//! The primary contribution of the EuroSys'16 study, as a library. One
+//! runner, [`stream::run`], computes the study; every other way to get a
+//! [`StudyData`] ([`StudyData::from_synth`], the [`Study`] facade, the
+//! corruption sweep) is one call into it with a [`RunOptions`].
 //!
-//! - [`pipeline::StudyData`] — the repository-scale measurement pipeline
+//! - [`pipeline::StudyData`] — the repository-scale measurement dataset
 //!   (parse → analyze → link → aggregate), replacing the paper's Postgres
 //!   database;
 //! - [`metrics::Metrics`] — **API importance**, **unweighted API
@@ -28,14 +31,16 @@
 //! - [`dataset`] — CSV export/import of the measured dataset;
 //! - [`diagnostics`] — degradation accounting: skipped binaries,
 //!   contained panics, quarantined packages, injected-fault ground truth;
-//! - [`degradation`] — the corruption sweep: rerunning the pipeline at
-//!   rising injected-corruption rates and tabulating the metric fallout;
+//! - [`degradation`] — the corruption sweep ([`corruption_sweep`], with
+//!   an optional write-ahead journal): rerunning the pipeline at rising
+//!   injected-corruption rates and tabulating the metric fallout;
 //! - [`journal`] — the crash-safety layer: an append-only, checksummed
 //!   write-ahead journal of completed work units, with fingerprint-bound
 //!   bit-identical resume;
-//! - [`stream`] — the paper-scale streaming pipeline: fixed-size shards
-//!   analyzed with only one shard's binaries resident, folded into
-//!   bit-identical [`pipeline::StudyData`];
+//! - [`stream`] — the pipeline runner: fixed-size shards analyzed with
+//!   only one shard's binaries resident, folded into bit-identical
+//!   [`pipeline::StudyData`], optionally cached, materialized, faulted,
+//!   or persisted to a store;
 //! - [`store`] — the on-disk [`store::FootprintStore`]: clean shards
 //!   persisted on the same framed log as the journal, so interrupted
 //!   sharded runs resume at file-read cost;
@@ -82,10 +87,7 @@ pub mod workloads;
 
 pub use cache::{AnalysisCache, CacheKey, CacheMode, CacheStats};
 pub use dataset::{Dataset, DatasetRow};
-pub use degradation::{
-    corruption_sweep, corruption_sweep_journaled, corruption_sweep_with,
-    degradation_table, DegradationPoint,
-};
+pub use degradation::{corruption_sweep, degradation_table, DegradationPoint};
 pub use depgraph::Condensation;
 pub use diagnostics::{RunDiagnostics, SkipStage, SkippedBinary};
 pub use diff::{ApiShift, StudyDiff};
@@ -127,8 +129,8 @@ pub use sysfault::{
 };
 pub use stream::{
     fold_partials, shard_partials, shard_ranges, sharded_fingerprint,
-    study_sharded, study_sharded_stored, PackageAttribution, ShardPartial,
-    DEFAULT_SHARD_SIZE,
+    study_sharded_stored, PackageAttribution, RunOptions, ShardPartial,
+    Shards, DEFAULT_SHARD_SIZE,
 };
 pub use study::Study;
 pub use workloads::{exercised_mass, workloads_for, Match};

@@ -17,7 +17,6 @@
 //! The result, [`StudyData`], is the in-memory replacement for the paper's
 //! 428-million-row Postgres database.
 
-use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -26,7 +25,7 @@ use std::sync::{Arc, LazyLock};
 use apistudy_analysis::{AnalysisOptions, BinaryAnalysis, Linker};
 use apistudy_catalog::Catalog;
 use apistudy_corpus::{
-    FaultPlan, Interpreter, MixCensus, Package, PackageFile, SynthRepo,
+    Interpreter, MixCensus, Package, PackageFile, SynthRepo,
 };
 use apistudy_elf::{BinaryClass, ElfError, ElfFile, ErrorKind};
 
@@ -68,7 +67,7 @@ pub struct PackageRecord {
 /// Binary file names are interned as `Arc<str>`: a library that uses 100
 /// syscalls appears in 100 users-sets but its name is allocated once.
 ///
-/// The per-syscall user index is built once, at `assemble` time: names
+/// The per-syscall user index is built once, when shards fold: names
 /// are appended as binaries stream by, then [`Attribution::finalize`]
 /// sorts and dedups each list in a single pass. Queries iterate a sorted
 /// slice — no per-query set walk, no tree overhead, and the iteration
@@ -427,7 +426,7 @@ pub(crate) struct PkgIntermediate {
     /// Binaries this package shipped that could not be analyzed.
     skipped: Vec<SkippedBinary>,
     /// Faults injected into this package (ground truth, faulted runs only).
-    injected: Vec<apistudy_corpus::FaultRecord>,
+    pub(crate) injected: Vec<apistudy_corpus::FaultRecord>,
     /// Binary-level panics caught during this package's analysis.
     panics_contained: u64,
     /// Caught panics whose retry succeeded.
@@ -688,165 +687,13 @@ pub(crate) fn inherit_partial(
 
 impl StudyData {
     /// Runs the full pipeline over a synthetic repository with the
-    /// paper's default analysis choices.
+    /// paper's default analysis choices: [`crate::stream::run`] with
+    /// default [`RunOptions`](crate::stream::RunOptions).
     pub fn from_synth(repo: &SynthRepo) -> Self {
-        Self::from_synth_with(repo, AnalysisOptions::default())
-    }
-
-    /// Runs the full pipeline with explicit [`AnalysisOptions`] — the
-    /// corpus-wide ablation entry point: every metric downstream reflects
-    /// the chosen analyzer behaviour.
-    pub fn from_synth_with(repo: &SynthRepo, options: AnalysisOptions) -> Self {
-        Self::from_synth_cached(repo, options, None)
-    }
-
-    /// [`Self::from_synth_with`] consulting a shared incremental
-    /// [`AnalysisCache`]: binaries whose `(content hash, options
-    /// fingerprint)` key is already resident skip parsing and analysis
-    /// entirely. The result is bit-identical to an un-cached run — the
-    /// cache stores only clean, panic-free successes of a deterministic
-    /// analysis — and the traffic lands in the diagnostics' cache
-    /// counters.
-    pub fn from_synth_cached(
-        repo: &SynthRepo,
-        options: AnalysisOptions,
-        cache: Option<&AnalysisCache>,
-    ) -> Self {
-        Self::run_cached(repo, options, cache, |i| {
-            (Cow::Owned(repo.package(i)), Vec::new())
-        })
-    }
-
-    /// [`Self::from_synth_cached`] over a pre-materialized corpus:
-    /// workers analyze `packages[i]` in place instead of regenerating it.
-    /// Package synthesis costs more than an order of magnitude over
-    /// reading the same bytes, so anything that runs the pipeline
-    /// repeatedly over one repository (the corruption sweep above all)
-    /// should materialize once with [`SynthRepo::materialize_all`] and
-    /// pay the corpus's byte size in memory for the duration.
-    pub fn from_packages_cached(
-        repo: &SynthRepo,
-        packages: &[Package],
-        options: AnalysisOptions,
-        cache: Option<&AnalysisCache>,
-    ) -> Self {
-        assert_eq!(packages.len(), repo.package_count());
-        Self::run_cached(repo, options, cache, |i| {
-            (Cow::Borrowed(&packages[i]), Vec::new())
-        })
-    }
-
-    /// Runs the full pipeline over a *corrupted* copy of the repository:
-    /// each package is materialized, the [`FaultPlan`] mutates the ELF
-    /// files it selects, and the pipeline analyzes the result. The
-    /// injection ledger lands in [`RunDiagnostics::injected`] so tests and
-    /// the degradation report can verify quarantining against ground
-    /// truth. With a rate of zero this is exactly [`Self::from_synth_with`].
-    pub fn from_synth_faulted(
-        repo: &SynthRepo,
-        options: AnalysisOptions,
-        plan: &FaultPlan,
-    ) -> Self {
-        Self::from_synth_faulted_cached(repo, options, plan, None)
-    }
-
-    /// [`Self::from_synth_faulted`] consulting a shared incremental
-    /// [`AnalysisCache`] — the sweep's workhorse. Corruption is applied
-    /// first and the *mutated* bytes are hashed, so an untouched binary
-    /// hits the clean baseline's entry while a corrupted one looks up its
-    /// own corrupted identity (nested fault plans corrupt a selected file
-    /// identically at every rate that selects it, so survivable
-    /// corruptions hit across sweep points too). Skips, quarantines, and
-    /// panic-retried results are never cached.
-    pub fn from_synth_faulted_cached(
-        repo: &SynthRepo,
-        options: AnalysisOptions,
-        plan: &FaultPlan,
-        cache: Option<&AnalysisCache>,
-    ) -> Self {
-        Self::run_cached(repo, options, cache, |i| {
-            let mut package = repo.package(i);
-            let injected = plan.corrupt_package(i, &mut package);
-            (Cow::Owned(package), injected)
-        })
-    }
-
-    /// [`Self::from_synth_faulted_cached`] over a pre-materialized
-    /// corpus: a worker copies and corrupts only a package the plan
-    /// selects a file of, so the shared materialization stays clean
-    /// across sweep points; the others are analyzed in place.
-    pub fn from_packages_faulted_cached(
-        repo: &SynthRepo,
-        packages: &[Package],
-        options: AnalysisOptions,
-        plan: &FaultPlan,
-        cache: Option<&AnalysisCache>,
-    ) -> Self {
-        assert_eq!(packages.len(), repo.package_count());
-        Self::run_cached(repo, options, cache, |i| {
-            if !plan.selects_package(i, &packages[i]) {
-                return (Cow::Borrowed(&packages[i]), Vec::new());
-            }
-            let mut package = packages[i].clone();
-            let injected = plan.corrupt_package(i, &mut package);
-            (Cow::Owned(package), injected)
-        })
-    }
-
-    /// The shared runner: produces each package (generated, read in
-    /// place from a materialization, or copied and fault-mutated),
-    /// analyzes the corpus in parallel, assembles, and stamps the run's
-    /// cache accounting into the diagnostics.
-    fn run_cached<'p>(
-        repo: &SynthRepo,
-        options: AnalysisOptions,
-        cache: Option<&AnalysisCache>,
-        produce: impl Fn(usize) -> (Cow<'p, Package>, Vec<apistudy_corpus::FaultRecord>)
-            + Sync,
-    ) -> Self {
-        let with_fp = cache.map(|c| (c, options.fingerprint()));
-        let evictions_before = cache.map_or(0, |c| c.stats().evictions);
-        let deadline = item_deadline_from_env();
-        let (inters, stats) = par_map_indexed(
-            repo.package_count(),
-            deadline,
-            |i| {
-                let (package, injected) = produce(i);
-                let mut inter = analyze_package(i, &package, options, with_fp);
-                inter.injected = injected;
-                inter
-            },
-            |i, cause, detail| {
-                PkgIntermediate::quarantined(i, repo, detail, cause.stage())
-            },
-        );
-        let mut data = Self::assemble(repo, inters, stats, with_fp, deadline);
-        if let Some(cache) = cache {
-            data.diagnostics.cache_mode = cache.mode();
-            data.diagnostics.cache_evictions =
-                cache.stats().evictions - evictions_before;
-        }
+        let (data, _) =
+            crate::stream::run(repo, &crate::stream::RunOptions::default(), None)
+                .expect("a run without a store does no I/O");
         data
-    }
-
-    fn assemble(
-        repo: &SynthRepo,
-        inters: Vec<PkgIntermediate>,
-        par_stats: ParStats,
-        cache: Option<(&AnalysisCache, u64)>,
-        deadline: Option<std::time::Duration>,
-    ) -> Self {
-        // The in-memory path is the streaming path run over one shard
-        // covering the whole corpus: the same per-shard stage, the same
-        // fold. Bit-identity between the two paths is by construction —
-        // the shard boundaries are the only variable.
-        let partial = Self::shard_assemble(
-            repo, inters, par_stats, cache, deadline, None, 0, 0,
-        );
-        crate::stream::fold_partials(
-            repo.plan.popcon.total_installations,
-            vec![partial],
-        )
     }
 
     /// The per-shard stage of the pipeline: registers one shard's
@@ -1215,8 +1062,9 @@ impl StudyData {
 mod tests {
     use super::*;
     use crate::cache::CacheMode;
+    use crate::stream::{run, RunOptions, Shards};
     use apistudy_catalog::Api;
-    use apistudy_corpus::{CalibrationSpec, Scale};
+    use apistudy_corpus::{CalibrationSpec, FaultPlan, Scale};
 
     fn tiny() -> StudyData {
         let repo = SynthRepo::new(
@@ -1255,14 +1103,14 @@ mod tests {
         let want = MixCensus::scan(&corrupted);
         assert!(want.unparsable > 0);
         let cache = AnalysisCache::new(CacheMode::Mem);
+        let opts = RunOptions {
+            analysis: options,
+            shards: Shards::Faulted(plan),
+            cache: Some(&cache),
+            packages: Some(&packages),
+        };
         for _ in 0..2 {
-            let data = StudyData::from_packages_faulted_cached(
-                &repo,
-                &packages,
-                options,
-                &plan,
-                Some(&cache),
-            );
+            let (data, _) = run(&repo, &opts, None).unwrap();
             assert!(data.diagnostics.skipped.iter().any(|s| s.stage != SkipStage::Parse));
             assert_eq!(data.census, want);
         }
@@ -1361,13 +1209,14 @@ mod tests {
             0xBEEF,
         );
         let full = StudyData::from_synth(&repo);
-        let reduced = StudyData::from_synth_with(
-            &repo,
-            apistudy_analysis::AnalysisOptions {
+        let opts = RunOptions {
+            analysis: AnalysisOptions {
                 function_pointer_edges: false,
                 ..Default::default()
             },
-        );
+            ..RunOptions::default()
+        };
+        let (reduced, _) = run(&repo, &opts, None).unwrap();
         let count = |d: &StudyData| -> usize {
             d.packages.iter().map(|p| p.footprint.len()).sum()
         };

@@ -233,8 +233,8 @@ impl Snapshot {
 }
 
 /// A reload recipe: re-runs the analysis and returns the fresh study
-/// (typically `Study::run_streamed_stored` against the daemon's boot
-/// store, so completed shards replay at file-read cost).
+/// (typically [`Study::run_on`] resuming the daemon's boot store, so
+/// completed shards replay at file-read cost).
 pub type Rebuild = dyn Fn() -> Result<Study, String> + Send + Sync;
 
 /// Monotonic counters describing a server's lifetime so far.
@@ -1681,20 +1681,6 @@ const REACTOR_SYSCALLS: &[&str] = &[
     "close",
 ];
 
-/// The syscalls the retired thread-per-connection daemon exercised:
-/// blocking `accept` plus a `clone` per connection.
-const LEGACY_SYSCALLS: &[&str] = &[
-    "socket",
-    "bind",
-    "listen",
-    "accept",
-    "clone",
-    "setsockopt",
-    "read",
-    "write",
-    "close",
-];
-
 /// One row of the daemon's syscall self-audit: a syscall the serving
 /// path uses, resolved against the snapshot's own catalog and importance
 /// metric — the study's methodology applied to the studying daemon.
@@ -1706,37 +1692,21 @@ pub struct AuditEntry {
     pub nr: Option<u32>,
     /// The snapshot's API-importance for it, as `f64` bits.
     pub importance_bits: Option<u64>,
-    /// Used by the epoll reactor serving path.
-    pub reactor: bool,
-    /// Used by the retired thread-per-connection serving path.
-    pub legacy: bool,
 }
 
 /// Audits the daemon's own serving syscall footprint against the served
-/// catalog: every syscall the reactor (and the legacy design it
-/// replaced) uses, with its catalog number and measured importance.
+/// catalog: every syscall the reactor uses, with its catalog number and
+/// measured importance.
 pub fn self_audit(snap: &Snapshot) -> Vec<AuditEntry> {
     let metrics = snap.metrics();
     let table = &snap.study.data().catalog.syscalls;
-    let mut names: Vec<&'static str> = REACTOR_SYSCALLS.to_vec();
-    for name in LEGACY_SYSCALLS {
-        if !names.contains(name) {
-            names.push(name);
-        }
-    }
-    names
-        .into_iter()
-        .map(|name| {
+    REACTOR_SYSCALLS
+        .iter()
+        .map(|&name| {
             let nr = table.by_name(name).map(|def| def.number);
             let importance_bits = nr
                 .map(|nr| metrics.importance(Api::Syscall(nr)).to_bits());
-            AuditEntry {
-                name,
-                nr,
-                importance_bits,
-                reactor: REACTOR_SYSCALLS.contains(&name),
-                legacy: LEGACY_SYSCALLS.contains(&name),
-            }
+            AuditEntry { name, nr, importance_bits }
         })
         .collect()
 }
@@ -2271,25 +2241,13 @@ mod tests {
     }
 
     #[test]
-    fn self_audit_reports_reactor_and_legacy_sets() {
+    fn self_audit_resolves_every_reactor_syscall() {
         let snap = Snapshot::seal(small_study(), 0);
         let audit = self_audit(&snap);
-        let find = |name: &str| {
-            audit
-                .iter()
-                .find(|e| e.name == name)
-                .unwrap_or_else(|| panic!("{name} missing from audit"))
-        };
-        let epoll = find("epoll_create1");
-        assert!(epoll.reactor && !epoll.legacy);
-        assert!(epoll.nr.is_some(), "epoll_create1 must resolve");
-        let accept = find("accept");
-        assert!(accept.legacy && !accept.reactor);
-        let read = find("read");
-        assert!(read.reactor && read.legacy);
+        assert_eq!(audit.len(), REACTOR_SYSCALLS.len());
         // Every reactor syscall is in the catalog the daemon serves —
         // the study can measure its own server.
-        for entry in audit.iter().filter(|e| e.reactor) {
+        for entry in &audit {
             assert!(
                 entry.nr.is_some() && entry.importance_bits.is_some(),
                 "{} unresolved",

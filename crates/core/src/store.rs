@@ -1,6 +1,6 @@
 //! The on-disk footprint store: crash-safe persistence for sharded runs.
 //!
-//! A paper-scale streaming run ([`crate::stream::study_sharded_stored`])
+//! A paper-scale streaming run ([`crate::stream::run`] with a store)
 //! appends each completed *clean* shard's compact per-package results —
 //! [`PackageRecord`]s plus attribution fragments — to a [`FootprintStore`].
 //! A resumed run replays stored shards at file-read cost and recomputes

@@ -1,14 +1,22 @@
-//! The streaming, sharded pipeline: paper-scale corpora under
-//! shard-bounded memory.
+//! The pipeline runner: every way to compute the study is one call to
+//! [`run`].
 //!
-//! The in-memory pipeline materializes every binary of every package
-//! before assembling [`StudyData`] — fine at 600 packages, hopeless at
-//! the paper's 30,976. This module splits the corpus plan into fixed-size
-//! contiguous shards and runs generate → analyze → resolve → fold with
-//! only one shard's binaries resident at a time:
+//! [`run`] takes the repository, one [`RunOptions`] and an optional
+//! on-disk [`FootprintStore`]. The options choose the analyzer
+//! ([`AnalysisOptions`]), the shard geometry, an incremental
+//! [`AnalysisCache`], a pre-materialized corpus, and — in place of a
+//! geometry — a [`FaultPlan`] that corrupts the corpus first.
+//! [`StudyData::from_synth`], the [`Study`](crate::study::Study) facade,
+//! the corruption sweep and the CLI are each one call into it, so they
+//! agree bit for bit by construction (and `tests/conformance.rs` checks
+//! every combination against the plain in-memory run).
+//!
+//! The corpus is split into fixed-size contiguous shards, and generate →
+//! analyze → resolve → fold runs with only one shard's binaries resident
+//! at a time:
 //!
 //! 1. **Per shard** ([`StudyData::shard_assemble`] in `pipeline`): the
-//!    shard's packages are generated lazily, analyzed in parallel on
+//!    shard's packages are produced lazily, analyzed in parallel on
 //!    [`par_map_indexed`](crate::pipeline), registered into a
 //!    *shard-local* linker, and resolved to compact [`PackageRecord`]s
 //!    plus per-package attribution fragments. The binaries die with the
@@ -26,14 +34,16 @@
 //! pre-registered into every shard's linker (except the first, where the
 //! `libc6` package ships them itself), so each executable resolves
 //! against exactly the libraries it would see in a whole-corpus linker.
-//! The in-memory path is literally this path run over one shard covering
-//! the corpus, so bit-identity is by construction — and still test-gated.
+//! The in-memory path is this path run over one shard covering the
+//! corpus (shard size 0).
 //!
-//! [`study_sharded_stored`] additionally persists every *clean* shard's
-//! records into an on-disk [`FootprintStore`](crate::store::FootprintStore)
-//! keyed by a [`RunFingerprint`], so an interrupted paper-scale run
-//! resumes by replaying completed shards at file-read cost.
+//! With a store, every *clean* shard's records are appended to a
+//! [`FootprintStore`] keyed by a [`RunFingerprint`], so an interrupted
+//! paper-scale run resumes by replaying completed shards at file-read
+//! cost.
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::path::Path;
@@ -41,7 +51,9 @@ use std::sync::Arc;
 
 use apistudy_analysis::{AnalysisOptions, BinaryAnalysis};
 use apistudy_catalog::Catalog;
-use apistudy_corpus::{libc_gen, MixCensus, SynthRepo};
+use apistudy_corpus::{
+    libc_gen, FaultPlan, FaultRecord, MixCensus, Package, SynthRepo,
+};
 
 use crate::cache::{fold_hash, AnalysisCache, CacheKey};
 use crate::diagnostics::{peak_rss_kb, RunDiagnostics};
@@ -59,6 +71,51 @@ use crate::store::{FootprintStore, StoreStats};
 /// per-shard parallel analysis saturated, small enough that one shard of
 /// materialized binaries stays far under the memory budget.
 pub const DEFAULT_SHARD_SIZE: usize = 512;
+
+/// How [`run`] divides the corpus.
+#[derive(Debug, Clone, Copy)]
+pub enum Shards {
+    /// Contiguous shards of this many packages (the last may be short);
+    /// 0 is one shard over the whole corpus.
+    Size(usize),
+    /// One whole-corpus shard over a copy of the corpus corrupted by the
+    /// plan, its injection ledger in [`RunDiagnostics::injected`]. A
+    /// faulted run cannot shard: past shard 0 the system libraries come
+    /// from the clean base, not from the corrupted `libc6`. At rate zero
+    /// this is exactly the clean run.
+    Faulted(FaultPlan),
+}
+
+impl Default for Shards {
+    fn default() -> Self {
+        Shards::Size(0)
+    }
+}
+
+/// Everything [`run`] takes besides the repository and the store. The
+/// default is the paper's analysis over one in-memory shard, generated,
+/// uncached.
+#[derive(Clone, Copy, Default)]
+pub struct RunOptions<'a> {
+    /// The analyzer's choices: every metric downstream reflects them.
+    pub analysis: AnalysisOptions,
+    /// The shard geometry, or the fault plan of a one-shard faulted run.
+    pub shards: Shards,
+    /// A shared incremental cache: binaries whose `(content hash, options
+    /// fingerprint)` key is resident skip parsing and analysis. The result
+    /// is bit-identical to an uncached run (the cache holds only clean,
+    /// panic-free successes); the traffic lands in the diagnostics' cache
+    /// counters. In a faulted run the *mutated* bytes are hashed, so an
+    /// untouched binary hits the clean entry, and a survivable corruption
+    /// hits across sweep points (nested plans corrupt a selected file
+    /// identically at every rate that selects it).
+    pub cache: Option<&'a AnalysisCache>,
+    /// The corpus materialized by [`SynthRepo::materialize_all`]: workers
+    /// read `packages[i]` in place instead of regenerating it, and a
+    /// faulted run copies only the packages its plan corrupts. Worth its
+    /// memory when one repository is measured repeatedly.
+    pub packages: Option<&'a [Package]>,
+}
 
 /// Per-package attribution fragment: which of the package's binaries have
 /// *direct* call sites for which syscalls. Libraries carry their soname
@@ -168,12 +225,128 @@ pub fn shard_ranges(package_count: usize, shard_size: usize) -> Vec<Range<usize>
         .collect()
 }
 
-/// Runs one shard end to end: parallel generate+analyze over the shard's
-/// packages, then shard-local registration and resolution. Only this
-/// shard's binaries are ever materialized.
-fn run_shard(
+/// Runs the pipeline: the one runner under every way to compute the
+/// study.
+///
+/// Produces each package (generated, or read from `opts.packages`, then
+/// corrupted under a fault plan), analyzes the corpus shard by shard,
+/// folds the partials, and records the run's cache accounting in the
+/// diagnostics. With `store = Some((path, resume))`, every shard whose
+/// diagnostics come back clean is appended to the [`FootprintStore`] at
+/// `path`, and with `resume` set, shards already present in a
+/// fingerprint-matching store are replayed instead of recomputed. Dirty
+/// shards (skips, contained panics, quarantines) are never stored — like
+/// the analysis cache, the store holds only results that are safe to
+/// trust without re-deriving the fault ledger. Without a store the run
+/// does no I/O and cannot fail.
+///
+/// The result is bit-identical for every shard size, cache state and
+/// production path, with peak memory bounded by one shard.
+///
+/// # Panics
+///
+/// When `opts.packages` does not cover the plan, or when a faulted run is
+/// given a store (a store's fingerprint does not cover a fault plan).
+pub fn run(
     repo: &SynthRepo,
-    options: AnalysisOptions,
+    opts: &RunOptions<'_>,
+    store: Option<(&Path, bool)>,
+) -> Result<(StudyData, StoreStats), JournalError> {
+    let evictions_before = opts.cache.map_or(0, |c| c.stats().evictions);
+    let mut stats = StoreStats::default();
+    let partials = walk_shards(repo, opts, store, &mut stats)?;
+    let mut data =
+        fold_partials(repo.plan.popcon.total_installations, partials);
+    if let Some(cache) = opts.cache {
+        data.diagnostics.cache_mode = cache.mode();
+        data.diagnostics.cache_evictions =
+            cache.stats().evictions - evictions_before;
+    }
+    Ok((data, stats))
+}
+
+/// The one shard loop: replays the shards `store` holds, computes the
+/// rest in order, and appends each clean computed shard to the store.
+/// Shards run sequentially — shard N's binaries are dropped before shard
+/// N+1 materializes, which is what bounds peak RSS to one shard — and
+/// parallelism lives *inside* each shard.
+fn walk_shards(
+    repo: &SynthRepo,
+    opts: &RunOptions<'_>,
+    store: Option<(&Path, bool)>,
+    stats: &mut StoreStats,
+) -> Result<Vec<ShardPartial>, JournalError> {
+    if let Some(packages) = opts.packages {
+        assert_eq!(
+            packages.len(),
+            repo.package_count(),
+            "a materialized corpus must cover the plan"
+        );
+    }
+    let shard_size = match opts.shards {
+        Shards::Size(size) => size,
+        Shards::Faulted(_) => {
+            assert!(store.is_none(), "a faulted run is never stored");
+            0
+        }
+    };
+    let (mut store, mut replayable) = match store {
+        Some((path, resume)) => {
+            let fp = sharded_fingerprint(repo, opts.analysis, shard_size);
+            let (store, replayable) = if resume {
+                FootprintStore::resume_or_create(path, &fp)?
+            } else {
+                (FootprintStore::create(path, &fp)?, HashMap::new())
+            };
+            (Some(store), replayable)
+        }
+        None => (None, HashMap::new()),
+    };
+
+    let cache = opts.cache.map(|c| (c, opts.analysis.fingerprint()));
+    let deadline = item_deadline_from_env();
+    let ranges = shard_ranges(repo.package_count(), shard_size);
+    // The system-library base is only analyzed once some shard past the
+    // first computes (a fully replayed resume never materializes a
+    // binary). Shard 0 contains libc6, which ships the system libraries
+    // itself; seeding the base there would register them twice.
+    let base = OnceCell::new();
+    let mut partials = Vec::with_capacity(ranges.len());
+    for (shard, range) in ranges.into_iter().enumerate() {
+        let replayed = replayable.remove(&shard).filter(|p| {
+            p.start == range.start && p.records.len() == range.len()
+        });
+        if let Some(p) = replayed {
+            stats.replayed_shards += 1;
+            stats.replayed_packages += p.records.len() as u64;
+            partials.push(p);
+            continue;
+        }
+        let shard_base = (shard > 0).then(|| {
+            base.get_or_init(|| system_base(opts.analysis, cache))
+        });
+        let p = analyze_shard(
+            repo, opts, cache, deadline, shard_base, shard, range,
+        );
+        stats.computed_shards += 1;
+        if let Some(store) = &mut store {
+            if p.diagnostics.is_clean() {
+                store.append_shard(&p)?;
+                stats.stored_shards += 1;
+            }
+        }
+        partials.push(p);
+    }
+    Ok(partials)
+}
+
+/// Runs one shard end to end: parallel produce+analyze over the shard's
+/// packages — the pipeline's only analysis of packages — then
+/// shard-local registration and resolution. Only this shard's binaries
+/// are ever materialized.
+fn analyze_shard(
+    repo: &SynthRepo,
+    opts: &RunOptions<'_>,
     cache: Option<(&AnalysisCache, u64)>,
     deadline: Option<std::time::Duration>,
     base: Option<&SystemBase>,
@@ -184,7 +357,13 @@ fn run_shard(
     let (inters, stats) = par_map_indexed(
         range.len(),
         deadline,
-        |i| analyze_package(start + i, &repo.package(start + i), options, cache),
+        |i| {
+            let (package, injected) = produce(repo, opts, start + i);
+            let mut inter =
+                analyze_package(start + i, &package, opts.analysis, cache);
+            inter.injected = injected;
+            inter
+        },
         |i, cause, detail| {
             PkgIntermediate::quarantined(start + i, repo, detail, cause.stage())
         },
@@ -194,34 +373,44 @@ fn run_shard(
     )
 }
 
-/// Computes every shard's partial, sequentially: shard N's binaries are
-/// dropped before shard N+1 materializes, which is what bounds peak RSS
-/// to one shard. Parallelism lives *inside* each shard, where
-/// [`par_map_indexed`](crate::pipeline) fans the shard's packages across
-/// the worker pool.
+/// Package `i` as the run sees it: read in place from the materialized
+/// corpus or generated from the plan; in a faulted run, copied and
+/// corrupted when the plan selects one of its files, with the injection
+/// ledger. Unselected packages stay untouched (and uncopied).
+fn produce<'p>(
+    repo: &SynthRepo,
+    opts: &RunOptions<'p>,
+    i: usize,
+) -> (Cow<'p, Package>, Vec<FaultRecord>) {
+    let mut package = match opts.packages {
+        Some(packages) => Cow::Borrowed(&packages[i]),
+        None => Cow::Owned(repo.package(i)),
+    };
+    let injected = match &opts.shards {
+        Shards::Faulted(plan) if plan.selects_package(i, &package) => {
+            plan.corrupt_package(i, package.to_mut())
+        }
+        _ => Vec::new(),
+    };
+    (package, injected)
+}
+
+/// Every shard's partial in shard order, unfolded: [`run`]'s shard loop
+/// without a store. [`fold_partials`] turns them into the study.
 pub fn shard_partials(
     repo: &SynthRepo,
     options: AnalysisOptions,
     shard_size: usize,
-    cache: Option<(&AnalysisCache, u64)>,
+    cache: Option<&AnalysisCache>,
 ) -> Vec<ShardPartial> {
-    let ranges = shard_ranges(repo.package_count(), shard_size);
-    let deadline = item_deadline_from_env();
-    let base = if ranges.len() > 1 {
-        Some(system_base(options, cache))
-    } else {
-        None
+    let opts = RunOptions {
+        analysis: options,
+        shards: Shards::Size(shard_size),
+        cache,
+        packages: None,
     };
-    ranges
-        .into_iter()
-        .enumerate()
-        .map(|(shard, range)| {
-            // Shard 0 contains libc6, which ships the system libraries
-            // itself; seeding the base there would register them twice.
-            let shard_base = if shard == 0 { None } else { base.as_ref() };
-            run_shard(repo, options, cache, deadline, shard_base, shard, range)
-        })
-        .collect()
+    walk_shards(repo, &opts, None, &mut StoreStats::default())
+        .expect("a run without a store does no I/O")
 }
 
 /// Folds shard partials into a full [`StudyData`]. Order-independent:
@@ -339,28 +528,6 @@ pub fn fold_partials(
     }
 }
 
-/// Runs the full streaming pipeline: shard, analyze, fold. Bit-identical
-/// to [`StudyData::from_synth_with`] for any shard size (test-gated at
-/// scales 150 and 600), with peak memory bounded by one shard.
-pub fn study_sharded(
-    repo: &SynthRepo,
-    options: AnalysisOptions,
-    shard_size: usize,
-    cache: Option<&AnalysisCache>,
-) -> StudyData {
-    let with_fp = cache.map(|c| (c, options.fingerprint()));
-    let evictions_before = cache.map_or(0, |c| c.stats().evictions);
-    let partials = shard_partials(repo, options, shard_size, with_fp);
-    let mut data =
-        fold_partials(repo.plan.popcon.total_installations, partials);
-    if let Some(cache) = cache {
-        data.diagnostics.cache_mode = cache.mode();
-        data.diagnostics.cache_evictions =
-            cache.stats().evictions - evictions_before;
-    }
-    data
-}
-
 /// The identity of one sharded run: corpus, analysis options, catalog,
 /// and the shard geometry plus the interned API universe (stored records
 /// encode `ApiSet`s as interner ids, so a universe change must invalidate
@@ -381,13 +548,7 @@ pub fn sharded_fingerprint(
     }
 }
 
-/// [`study_sharded`] with crash-safe persistence: every shard whose
-/// diagnostics come back clean is appended to the [`FootprintStore`] at
-/// `path`, and with `resume` set, shards already present in a
-/// fingerprint-matching store are replayed instead of recomputed. Dirty
-/// shards (skips, contained panics, quarantines) are never stored — like
-/// the analysis cache, the store holds only results that are safe to
-/// trust without re-deriving the fault ledger.
+/// [`run`] over `shard_size`-package shards with a store at `path`.
 pub fn study_sharded_stored(
     repo: &SynthRepo,
     options: AnalysisOptions,
@@ -396,58 +557,11 @@ pub fn study_sharded_stored(
     path: &Path,
     resume: bool,
 ) -> Result<(StudyData, StoreStats), JournalError> {
-    let with_fp = cache.map(|c| (c, options.fingerprint()));
-    let evictions_before = cache.map_or(0, |c| c.stats().evictions);
-    let fp = sharded_fingerprint(repo, options, shard_size);
-    let (mut store, mut replayable) = if resume {
-        FootprintStore::resume_or_create(path, &fp)?
-    } else {
-        (FootprintStore::create(path, &fp)?, HashMap::new())
+    let opts = RunOptions {
+        analysis: options,
+        shards: Shards::Size(shard_size),
+        cache,
+        packages: None,
     };
-
-    let ranges = shard_ranges(repo.package_count(), shard_size);
-    let deadline = item_deadline_from_env();
-    let mut stats = StoreStats::default();
-    // The system-library base is only analyzed if some shard actually
-    // computes (a fully replayed resume never materializes a binary).
-    let base = std::cell::OnceCell::new();
-    let mut partials = Vec::with_capacity(ranges.len());
-    for (shard, range) in ranges.into_iter().enumerate() {
-        let replayed = replayable.remove(&shard).filter(|p| {
-            p.start == range.start && p.records.len() == range.len()
-        });
-        let partial = match replayed {
-            Some(p) => {
-                stats.replayed_shards += 1;
-                stats.replayed_packages += p.records.len() as u64;
-                p
-            }
-            None => {
-                let shard_base = if shard == 0 {
-                    None
-                } else {
-                    Some(base.get_or_init(|| system_base(options, with_fp)))
-                };
-                let p = run_shard(
-                    repo, options, with_fp, deadline, shard_base, shard, range,
-                );
-                stats.computed_shards += 1;
-                if p.diagnostics.is_clean() {
-                    store.append_shard(&p)?;
-                    stats.stored_shards += 1;
-                }
-                p
-            }
-        };
-        partials.push(partial);
-    }
-
-    let mut data =
-        fold_partials(repo.plan.popcon.total_installations, partials);
-    if let Some(cache) = cache {
-        data.diagnostics.cache_mode = cache.mode();
-        data.diagnostics.cache_evictions =
-            cache.stats().evictions - evictions_before;
-    }
-    Ok((data, stats))
+    run(repo, &opts, Some((path, resume)))
 }

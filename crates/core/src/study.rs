@@ -15,7 +15,6 @@
 
 use std::path::Path;
 
-use apistudy_analysis::AnalysisOptions;
 use apistudy_catalog::Api;
 use apistudy_corpus::{CalibrationSpec, Scale, SynthRepo};
 
@@ -25,7 +24,7 @@ use crate::{
     pipeline::StudyData,
     planner::{stages, CompletenessCurve, Stage},
     store::StoreStats,
-    stream::{study_sharded, study_sharded_stored},
+    stream::{self, RunOptions, Shards},
 };
 
 /// A completed study over a (synthetic) distribution.
@@ -38,51 +37,32 @@ impl Study {
     /// Generates a corpus at `scale` and runs the full measurement
     /// pipeline over it.
     pub fn run(scale: Scale, seed: u64) -> Self {
-        Self::run_with(scale, CalibrationSpec::default(), seed)
+        Self::run_streamed(scale, seed, 0)
     }
 
-    /// Like [`Study::run`] with an explicit calibration.
-    pub fn run_with(scale: Scale, spec: CalibrationSpec, seed: u64) -> Self {
-        let repo = SynthRepo::new(scale, spec, seed);
-        let data = StudyData::from_synth(&repo);
-        Self { repo, data }
-    }
-
-    /// [`Study::run`] through the streaming, sharded pipeline: only one
-    /// shard of binaries is ever materialized, so paper-scale corpora run
-    /// in shard-bounded memory. Bit-identical to [`Study::run`] for any
+    /// [`Study::run`] through `shard_size`-package shards: only one shard
+    /// of binaries is ever materialized, so paper-scale corpora run in
+    /// shard-bounded memory. Bit-identical to [`Study::run`] for any
     /// `shard_size` (0 means one shard over the whole corpus).
     pub fn run_streamed(scale: Scale, seed: u64, shard_size: usize) -> Self {
         let repo = SynthRepo::new(scale, CalibrationSpec::default(), seed);
-        let data = study_sharded(
-            &repo,
-            AnalysisOptions::default(),
-            shard_size,
-            None,
-        );
-        Self { repo, data }
+        let opts = RunOptions {
+            shards: Shards::Size(shard_size),
+            ..RunOptions::default()
+        };
+        let (study, _) = Self::run_on(repo, &opts, None)
+            .expect("a run without a store does no I/O");
+        study
     }
 
-    /// [`Study::run_streamed`] persisting every clean shard to the
-    /// [`FootprintStore`](crate::store::FootprintStore) at `path`; with
-    /// `resume`, shards already stored under the same run fingerprint are
-    /// replayed instead of recomputed.
-    pub fn run_streamed_stored(
-        scale: Scale,
-        seed: u64,
-        shard_size: usize,
-        path: &Path,
-        resume: bool,
+    /// Runs the pipeline over `repo` ([`stream::run`] with `opts` and
+    /// `store`) and keeps the corpus beside the measured dataset.
+    pub fn run_on(
+        repo: SynthRepo,
+        opts: &RunOptions<'_>,
+        store: Option<(&Path, bool)>,
     ) -> Result<(Self, StoreStats), JournalError> {
-        let repo = SynthRepo::new(scale, CalibrationSpec::default(), seed);
-        let (data, stats) = study_sharded_stored(
-            &repo,
-            AnalysisOptions::default(),
-            shard_size,
-            None,
-            path,
-            resume,
-        )?;
+        let (data, stats) = stream::run(&repo, opts, store)?;
         Ok((Self { repo, data }, stats))
     }
 

@@ -14,14 +14,22 @@
 use std::collections::HashSet;
 
 use apistudy::catalog::ApiKind;
-use apistudy::core::{diff::StudyDiff, CompletenessEngine, Study};
-use apistudy::corpus::{CalibrationSpec, Scale};
+use apistudy::core::{diff::StudyDiff, CompletenessEngine, RunOptions, Study};
+use apistudy::corpus::{CalibrationSpec, Scale, SynthRepo};
+
+/// Measures the corpus a calibration generates at `scale`.
+fn measure(scale: Scale, spec: CalibrationSpec) -> Study {
+    let repo = SynthRepo::new(scale, spec, 7);
+    let (study, _) = Study::run_on(repo, &RunOptions::default(), None)
+        .expect("a run without a store does no I/O");
+    study
+}
 
 fn main() {
     let scale = Scale::test();
 
     println!("measuring baseline (today's adoption)...");
-    let baseline = Study::run_with(scale, CalibrationSpec::default(), 7);
+    let baseline = measure(scale, CalibrationSpec::default());
 
     println!("measuring the what-if world (faccessat outreach succeeded)...");
     let scenario = CalibrationSpec {
@@ -33,7 +41,7 @@ fn main() {
         ],
         ..CalibrationSpec::default()
     };
-    let future = Study::run_with(scale, scenario, 7);
+    let future = measure(scale, scenario);
 
     let mb = baseline.metrics();
     let mf = future.metrics();

@@ -90,6 +90,7 @@
 //! can never wedge the daemon on one pathological package.
 
 use std::collections::HashSet;
+use std::path::Path;
 use std::process::exit;
 
 use apistudy::catalog::ApiKind;
@@ -98,9 +99,10 @@ use apistudy::core::{
     footprints,
     planner::CompletenessCurve,
     seccomp_bpf::{depth_profile, seccomp_filter, BpfProgram, AUDIT_ARCH_X86_64},
-    CacheMode, Study,
+    serve::Rebuild,
+    CacheMode, RunOptions, Shards, Study,
 };
-use apistudy::corpus::Scale;
+use apistudy::corpus::{CalibrationSpec, Scale, SynthRepo};
 
 fn usage() -> ! {
     eprintln!(
@@ -293,35 +295,36 @@ fn main() {
             "in-memory".to_owned()
         },
     );
-    let study = match &store_path {
-        Some(path) => {
-            let out = Study::run_streamed_stored(
-                scale,
-                seed,
-                shard_size,
-                std::path::Path::new(path),
-                store_resume,
-            );
-            match out {
-                Ok((study, st)) => {
-                    eprintln!(
-                        "store [{path}]: {} shards replayed ({} packages), \
-                         {} computed, {} stored",
-                        st.replayed_shards,
-                        st.replayed_packages,
-                        st.computed_shards,
-                        st.stored_shards,
-                    );
-                    study
-                }
-                Err(e) => {
-                    eprintln!("store error: {e}");
-                    exit(1)
-                }
+    // Boot and a daemon `Reload` build the study the same way; a reload
+    // resumes the store, so an unchanged corpus replays at file-read cost.
+    let store_at = store_path.clone();
+    let build = move |resume: bool| {
+        let repo = SynthRepo::new(scale, CalibrationSpec::default(), seed);
+        let opts = RunOptions {
+            shards: Shards::Size(shard_size),
+            ..RunOptions::default()
+        };
+        let store = store_at.as_deref().map(|p| (Path::new(p), resume));
+        Study::run_on(repo, &opts, store)
+    };
+    let study = match build(store_resume) {
+        Ok((study, st)) => {
+            if let Some(path) = &store_path {
+                eprintln!(
+                    "store [{path}]: {} shards replayed ({} packages), \
+                     {} computed, {} stored",
+                    st.replayed_shards,
+                    st.replayed_packages,
+                    st.computed_shards,
+                    st.stored_shards,
+                );
             }
+            study
         }
-        None if shard_size > 0 => Study::run_streamed(scale, seed, shard_size),
-        None => Study::run(scale, seed),
+        Err(e) => {
+            eprintln!("store error: {e}");
+            exit(1)
+        }
     };
     let peak_kb = study.data().diagnostics.peak_rss_kb;
     if peak_kb > 0 {
@@ -331,7 +334,10 @@ fn main() {
     // `serve` consumes the study whole (it becomes the daemon's sealed
     // snapshot), so it branches off before a Metrics view is borrowed.
     if command == "serve" {
-        run_serve(study, rest, scale, seed, shard_size, store_path);
+        let rebuild: Box<Rebuild> = Box::new(move || {
+            build(true).map(|(study, _)| study).map_err(|e| e.to_string())
+        });
+        run_serve(study, rest, rebuild);
     }
     let metrics = study.metrics();
 
@@ -555,7 +561,7 @@ fn main() {
                     100.0 * report.weighted_attack_surface_reduction(),
                 );
                 eprintln!(
-                    "synthesized{} in {:.2}s ({:.0} filters/s)",
+                    "synthesized{} in {:.2}s ({:.0} packages/s)",
                     if report.verified { " + bit-verified" } else { "" },
                     elapsed.as_secs_f64(),
                     f64::from(report.packages) / elapsed.as_secs_f64().max(1e-9),
@@ -629,8 +635,7 @@ fn main() {
         "faults" => {
             use apistudy::analysis::AnalysisOptions;
             use apistudy::core::{
-                corruption_sweep_journaled, corruption_sweep_with,
-                degradation_table, AnalysisCache, JournalStats,
+                corruption_sweep, degradation_table, AnalysisCache,
             };
             let journal = take_opt(&mut rest, "--journal");
             let resume = take_flag(&mut rest, "--resume");
@@ -649,36 +654,18 @@ fn main() {
                  cache {cache_mode})..."
             );
             let cache = AnalysisCache::new(cache_mode);
-            let (points, jstats) = match &journal {
-                Some(jpath) => {
-                    let out = corruption_sweep_journaled(
-                        study.repo(),
-                        AnalysisOptions::default(),
-                        fault_seed,
-                        &rates,
-                        &cache,
-                        std::path::Path::new(jpath),
-                        resume,
-                    );
-                    match out {
-                        Ok((points, jstats)) => (points, jstats),
-                        Err(e) => {
-                            eprintln!("journal error: {e}");
-                            exit(1)
-                        }
-                    }
-                }
-                None => (
-                    corruption_sweep_with(
-                        study.repo(),
-                        AnalysisOptions::default(),
-                        fault_seed,
-                        &rates,
-                        &cache,
-                    ),
-                    JournalStats::default(),
-                ),
-            };
+            let (points, jstats) = corruption_sweep(
+                study.repo(),
+                AnalysisOptions::default(),
+                fault_seed,
+                &rates,
+                &cache,
+                journal.as_deref().map(|p| (Path::new(p), resume)),
+            )
+            .unwrap_or_else(|e| {
+                eprintln!("journal error: {e}");
+                exit(1)
+            });
             println!("{}", degradation_table(&points).render());
             let deadline_skips: u64 =
                 points.iter().map(|p| p.deadline_skipped as u64).sum();
@@ -756,15 +743,7 @@ fn syscall_label(data: &apistudy::core::StudyData, nr: u32) -> String {
 
 /// `apistudy serve`: seal the measured study into the daemon's snapshot
 /// and answer queries until drained (via a `shutdown` query or a signal).
-fn run_serve(
-    study: Study,
-    mut rest: Vec<String>,
-    scale: Scale,
-    seed: u64,
-    shard_size: usize,
-    store_path: Option<String>,
-) -> ! {
-    use apistudy::core::serve::Rebuild;
+fn run_serve(study: Study, mut rest: Vec<String>, rebuild: Box<Rebuild>) -> ! {
     use apistudy::core::{Server, ServeOptions};
     use std::time::Duration;
 
@@ -816,27 +795,6 @@ fn run_serve(
         }
     }
     let packages = study.data().packages.len();
-
-
-    // The reload recipe repeats the boot recipe; with a store, completed
-    // shards replay at file-read cost, so a `Reload` after an unchanged
-    // corpus is cheap and provably bit-identical.
-    let rebuild: Box<Rebuild> = Box::new(move || match &store_path {
-        Some(path) => Study::run_streamed_stored(
-            scale,
-            seed,
-            shard_size,
-            std::path::Path::new(path),
-            true,
-        )
-        .map(|(study, _)| study)
-        .map_err(|e| e.to_string()),
-        None if shard_size > 0 => {
-            Ok(Study::run_streamed(scale, seed, shard_size))
-        }
-        None => Ok(Study::run(scale, seed)),
-    });
-
     let server = match Server::start(study, Some(rebuild), opts) {
         Ok(s) => s,
         Err(e) => {
@@ -849,7 +807,7 @@ fn run_serve(
         // syscalls the daemon's own serving path exercises, and how
         // important the served corpus says each one is.
         println!("self-audit: serving-path syscalls vs the served catalog");
-        println!("  {:<14} {:>5}  {:>10}  path", "syscall", "nr", "importance");
+        println!("  {:<14} {:>5}  {:>10}", "syscall", "nr", "importance");
         for entry in server.self_audit() {
             let nr = entry
                 .nr
@@ -859,12 +817,7 @@ fn run_serve(
                 .importance_bits
                 .map(|bits| format!("{:.6}", f64::from_bits(bits)))
                 .unwrap_or_else(|| "-".into());
-            let path = match (entry.reactor, entry.legacy) {
-                (true, true) => "reactor+legacy",
-                (true, false) => "reactor",
-                _ => "legacy-only",
-            };
-            println!("  {:<14} {nr:>5}  {importance:>10}  {path}", entry.name);
+            println!("  {:<14} {nr:>5}  {importance:>10}", entry.name);
         }
     }
     // Machine-parseable readiness line (tests and scripts wait for it).

@@ -8,7 +8,8 @@ use std::collections::HashSet;
 
 use apistudy::analysis::AnalysisOptions;
 use apistudy::core::{
-    corruption_sweep, corruption_sweep_with, AnalysisCache, CacheMode, StudyData,
+    corruption_sweep, stream, AnalysisCache, CacheMode, DegradationPoint,
+    RunOptions, Shards, StudyData,
 };
 use apistudy::corpus::{CalibrationSpec, FaultPlan, Scale, SynthRepo};
 
@@ -22,15 +23,39 @@ fn repo() -> SynthRepo {
     )
 }
 
+/// The pipeline over `repo` corrupted by `plan`.
+fn faulted(
+    repo: &SynthRepo,
+    plan: FaultPlan,
+    cache: Option<&AnalysisCache>,
+) -> StudyData {
+    let opts = RunOptions {
+        shards: Shards::Faulted(plan),
+        cache,
+        ..RunOptions::default()
+    };
+    stream::run(repo, &opts, None).expect("no store, no I/O").0
+}
+
+/// The unjournaled sweep over `rates` through `cache`.
+fn sweep(
+    repo: &SynthRepo,
+    rates: &[f64],
+    cache: &AnalysisCache,
+) -> Vec<DegradationPoint> {
+    let options = AnalysisOptions::default();
+    corruption_sweep(repo, options, FAULT_SEED, rates, cache, None)
+        .expect("no journal, no I/O")
+        .0
+}
+
 #[test]
 fn corruption_at_5_percent_quarantines_exactly_the_injected_set() {
     let repo = repo();
     let clean = StudyData::from_synth(&repo);
     assert!(clean.diagnostics.is_clean(), "pristine corpus must run clean");
 
-    let plan = FaultPlan::new(FAULT_SEED, 0.05);
-    let faulted =
-        StudyData::from_synth_faulted(&repo, AnalysisOptions::default(), &plan);
+    let faulted = faulted(&repo, FaultPlan::new(FAULT_SEED, 0.05), None);
     let diag = &faulted.diagnostics;
     assert!(!diag.injected.is_empty(), "5% of ~150 packages must inject");
     assert_eq!(
@@ -80,9 +105,7 @@ fn corruption_at_5_percent_quarantines_exactly_the_injected_set() {
 fn unaffected_packages_are_bit_identical_to_the_clean_run() {
     let repo = repo();
     let clean = StudyData::from_synth(&repo);
-    let plan = FaultPlan::new(FAULT_SEED, 0.05);
-    let faulted =
-        StudyData::from_synth_faulted(&repo, AnalysisOptions::default(), &plan);
+    let faulted = faulted(&repo, FaultPlan::new(FAULT_SEED, 0.05), None);
 
     // Packages that received a *fatal* injection, per ground truth.
     let fatally_injected: HashSet<&str> = faulted
@@ -126,11 +149,7 @@ fn unaffected_packages_are_bit_identical_to_the_clean_run() {
 fn rate_zero_is_exactly_the_clean_run_and_reruns_are_deterministic() {
     let repo = repo();
     let clean = StudyData::from_synth(&repo);
-    let zero = StudyData::from_synth_faulted(
-        &repo,
-        AnalysisOptions::default(),
-        &FaultPlan::new(FAULT_SEED, 0.0),
-    );
+    let zero = faulted(&repo, FaultPlan::new(FAULT_SEED, 0.0), None);
     assert!(zero.diagnostics.is_clean());
     for (a, b) in clean.packages.iter().zip(&zero.packages) {
         assert_eq!(a.footprint, b.footprint, "{}", a.name);
@@ -138,10 +157,8 @@ fn rate_zero_is_exactly_the_clean_run_and_reruns_are_deterministic() {
     }
 
     let plan = FaultPlan::new(FAULT_SEED, 0.05);
-    let run1 =
-        StudyData::from_synth_faulted(&repo, AnalysisOptions::default(), &plan);
-    let run2 =
-        StudyData::from_synth_faulted(&repo, AnalysisOptions::default(), &plan);
+    let run1 = faulted(&repo, plan, None);
+    let run2 = faulted(&repo, plan, None);
     assert_eq!(run1.diagnostics.injected, run2.diagnostics.injected);
     assert_eq!(
         run1.diagnostics.skipped.len(),
@@ -158,12 +175,7 @@ fn rate_zero_is_exactly_the_clean_run_and_reruns_are_deterministic() {
 fn degradation_sweep_is_monotone_from_0_to_10_percent() {
     let repo = repo();
     let rates = [0.0, 0.02, 0.05, 0.10];
-    let points = corruption_sweep(
-        &repo,
-        AnalysisOptions::default(),
-        FAULT_SEED,
-        &rates,
-    );
+    let points = sweep(&repo, &rates, &AnalysisCache::new(CacheMode::Mem));
     assert_eq!(points.len(), rates.len());
     assert_eq!(points[0].injected, 0);
     assert_eq!(points[0].skipped_binaries, 0);
@@ -188,14 +200,11 @@ fn degradation_sweep_is_monotone_from_0_to_10_percent() {
 fn cached_sweep_matches_cold_sweep() {
     let repo = repo();
     let rates = [0.0, 0.02, 0.05, 0.10];
-    let options = AnalysisOptions::default();
 
     let cold_cache = AnalysisCache::new(CacheMode::Off);
-    let cold =
-        corruption_sweep_with(&repo, options, FAULT_SEED, &rates, &cold_cache);
+    let cold = sweep(&repo, &rates, &cold_cache);
     let warm_cache = AnalysisCache::new(CacheMode::Mem);
-    let warm =
-        corruption_sweep_with(&repo, options, FAULT_SEED, &rates, &warm_cache);
+    let warm = sweep(&repo, &rates, &warm_cache);
 
     // The cache must be invisible in the measured series: every point
     // bit-identical (f64s compared by bit pattern, not tolerance).
@@ -227,15 +236,9 @@ fn cached_sweep_matches_cold_sweep() {
     // faulted run skips exactly what an un-cached one skips, and every
     // ELF the run looked at is accounted as a hit or a miss.
     let plan = FaultPlan::new(FAULT_SEED, 0.05);
-    let uncached =
-        StudyData::from_synth_faulted(&repo, options, &plan);
+    let uncached = faulted(&repo, plan, None);
     let cache = AnalysisCache::new(CacheMode::Mem);
-    let cached = StudyData::from_synth_faulted_cached(
-        &repo,
-        options,
-        &plan,
-        Some(&cache),
-    );
+    let cached = faulted(&repo, plan, Some(&cache));
     let skips = |d: &apistudy::core::RunDiagnostics| {
         let mut v: Vec<(String, String)> = d
             .skipped
@@ -263,10 +266,7 @@ fn cached_sweep_matches_cold_sweep() {
 /// Field-by-field bitwise comparison — `PartialEq` would accept
 /// `-0.0 == 0.0`; the resume contract is stricter than that.
 #[track_caller]
-fn assert_points_bitwise(
-    got: &[apistudy::core::DegradationPoint],
-    want: &[apistudy::core::DegradationPoint],
-) {
+fn assert_points_bitwise(got: &[DegradationPoint], want: &[DegradationPoint]) {
     assert_eq!(got.len(), want.len());
     for (g, w) in got.iter().zip(want) {
         assert_eq!(g.rate.to_bits(), w.rate.to_bits());
@@ -296,7 +296,7 @@ fn assert_points_bitwise(
 /// counts — and a journal from a different fault plan is refused.
 #[test]
 fn journaled_sweep_resumes_bit_identically() {
-    use apistudy::core::{corruption_sweep_journaled, JournalError};
+    use apistudy::core::JournalError;
 
     let repo = repo();
     let options = AnalysisOptions::default();
@@ -309,22 +309,15 @@ fn journaled_sweep_resumes_bit_identically() {
     std::fs::create_dir_all(&dir).unwrap();
     let jpath = dir.join("sweep.journal");
 
-    let plain = corruption_sweep_with(
-        &repo,
-        options,
-        FAULT_SEED,
-        &rates,
-        &AnalysisCache::new(CacheMode::Off),
-    );
+    let plain = sweep(&repo, &rates, &AnalysisCache::new(CacheMode::Off));
 
-    let (fresh, stats) = corruption_sweep_journaled(
+    let (fresh, stats) = corruption_sweep(
         &repo,
         options,
         FAULT_SEED,
         &rates,
         &AnalysisCache::new(CacheMode::Off),
-        &jpath,
-        false,
+        Some((&jpath, false)),
     )
     .unwrap();
     // One support-set record plus one record per rate.
@@ -332,14 +325,13 @@ fn journaled_sweep_resumes_bit_identically() {
     assert_points_bitwise(&fresh, &plain);
     let complete = std::fs::read(&jpath).unwrap();
 
-    let (replayed, stats) = corruption_sweep_journaled(
+    let (replayed, stats) = corruption_sweep(
         &repo,
         options,
         FAULT_SEED,
         &rates,
         &AnalysisCache::new(CacheMode::Off),
-        &jpath,
-        true,
+        Some((&jpath, true)),
     )
     .unwrap();
     assert_eq!((stats.replayed, stats.appended), (6, 0));
@@ -349,14 +341,13 @@ fn journaled_sweep_resumes_bit_identically() {
     // point recomputed, and the healed journal is byte-identical to the
     // uninterrupted one.
     std::fs::write(&jpath, &complete[..complete.len() - 5]).unwrap();
-    let (resumed, stats) = corruption_sweep_journaled(
+    let (resumed, stats) = corruption_sweep(
         &repo,
         options,
         FAULT_SEED,
         &rates,
         &AnalysisCache::new(CacheMode::Off),
-        &jpath,
-        true,
+        Some((&jpath, true)),
     )
     .unwrap();
     assert_eq!((stats.replayed, stats.appended), (5, 1));
@@ -364,14 +355,13 @@ fn journaled_sweep_resumes_bit_identically() {
     assert_eq!(std::fs::read(&jpath).unwrap(), complete);
 
     // A different fault seed is a different run: refuse, don't guess.
-    let err = corruption_sweep_journaled(
+    let err = corruption_sweep(
         &repo,
         options,
         FAULT_SEED + 1,
         &rates,
         &AnalysisCache::new(CacheMode::Off),
-        &jpath,
-        true,
+        Some((&jpath, true)),
     )
     .unwrap_err();
     assert!(matches!(err, JournalError::FingerprintMismatch { .. }), "{err}");

@@ -1,14 +1,13 @@
-//! Streaming-pipeline integration: the sharded path must be
-//! *bit-identical* to the in-memory path — packages, census,
-//! attribution, importance, and weighted completeness — and the on-disk
-//! footprint store must replay shards without moving a single bit.
+//! Streaming-pipeline geometry and store identity: shard ranges tile the
+//! corpus, and a footprint store refuses a run it was not written by.
+//! Bit identity across shard sizes, caches and store replay is the
+//! conformance matrix's job (`tests/conformance.rs`).
 
-use std::collections::HashSet;
 use std::path::PathBuf;
 
-use apistudy::catalog::Api;
-use apistudy::core::{JournalError, Metrics, Study, StudyData};
-use apistudy::corpus::Scale;
+use apistudy::analysis::AnalysisOptions;
+use apistudy::core::{study_sharded_stored, JournalError};
+use apistudy::corpus::{CalibrationSpec, Scale, SynthRepo};
 
 fn tmp_store(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -17,167 +16,25 @@ fn tmp_store(tag: &str) -> PathBuf {
     ))
 }
 
-/// Field-by-field bit equality of two study datasets. Diagnostics are
-/// compared only on work accounting (cache counters and the RSS
-/// observation legitimately differ between paths).
-fn assert_data_identical(a: &StudyData, b: &StudyData, what: &str) {
-    assert_eq!(a.packages, b.packages, "{what}: package records");
-    for (pa, pb) in a.packages.iter().zip(&b.packages) {
-        assert_eq!(
-            pa.prob.to_bits(),
-            pb.prob.to_bits(),
-            "{what}: probability bits for {}",
-            pa.name
-        );
-    }
-    assert_eq!(a.by_name, b.by_name, "{what}: name index");
-    assert_eq!(a.census, b.census, "{what}: census");
-    assert_eq!(a.attribution, b.attribution, "{what}: attribution");
-    assert_eq!(
-        a.total_installations, b.total_installations,
-        "{what}: installations"
-    );
-    assert_eq!(
-        a.unresolved_syscall_sites, b.unresolved_syscall_sites,
-        "{what}: unresolved sites"
-    );
-    assert_eq!(
-        a.resolved_syscall_sites, b.resolved_syscall_sites,
-        "{what}: resolved sites"
-    );
-    assert_eq!(
-        a.diagnostics.analyzed_binaries, b.diagnostics.analyzed_binaries,
-        "{what}: analyzed binaries"
-    );
-    assert_eq!(
-        a.diagnostics.total_skipped(),
-        b.diagnostics.total_skipped(),
-        "{what}: skips"
-    );
-}
-
-/// The acceptance gate: importance and weighted completeness agree to
-/// the last bit for every syscall in the catalog.
-fn assert_metrics_bit_identical(a: &StudyData, b: &StudyData, what: &str) {
-    let ma = Metrics::new(a);
-    let mb = Metrics::new(b);
-    for def in a.catalog.syscalls.iter() {
-        let api = Api::Syscall(def.number);
-        assert_eq!(
-            ma.importance(api).to_bits(),
-            mb.importance(api).to_bits(),
-            "{what}: importance bits for {}",
-            def.name
-        );
-        assert_eq!(
-            ma.unweighted_importance(api).to_bits(),
-            mb.unweighted_importance(api).to_bits(),
-            "{what}: unweighted importance bits for {}",
-            def.name
-        );
-    }
-    for top in [0u32, 50, 150, 250, 323] {
-        let supported: HashSet<u32> = (0..top).collect();
-        assert_eq!(
-            ma.syscall_completeness(&supported).to_bits(),
-            mb.syscall_completeness(&supported).to_bits(),
-            "{what}: weighted completeness bits at top-{top}"
-        );
-    }
-}
-
-#[test]
-fn sharded_matches_in_memory_at_150() {
-    let scale = Scale { packages: 150, installations: 30_000 };
-    let inmem = Study::run(scale, 2016);
-    // 32 does not divide 150: the last shard is short, and libc6's
-    // system libraries cross into every other shard via the base.
-    let sharded = Study::run_streamed(scale, 2016, 32);
-    assert_data_identical(inmem.data(), sharded.data(), "150/shard-32");
-    assert_metrics_bit_identical(inmem.data(), sharded.data(), "150/shard-32");
-}
-
-#[test]
-fn sharded_matches_in_memory_at_600() {
-    let scale = Scale { packages: 600, installations: 100_000 };
-    let inmem = Study::run(scale, 2016);
-    let sharded = Study::run_streamed(scale, 2016, 256);
-    assert_data_identical(inmem.data(), sharded.data(), "600/shard-256");
-    assert_metrics_bit_identical(inmem.data(), sharded.data(), "600/shard-256");
-}
-
-#[test]
-fn single_whole_corpus_shard_is_the_in_memory_path() {
-    let scale = Scale { packages: 150, installations: 30_000 };
-    let inmem = Study::run(scale, 7);
-    let one_shard = Study::run_streamed(scale, 7, 0);
-    assert_data_identical(inmem.data(), one_shard.data(), "150/one-shard");
-}
-
-#[test]
-fn store_resume_replays_every_shard_bit_identically() {
-    let path = tmp_store("replay");
-    std::fs::remove_file(&path).ok();
-    let scale = Scale { packages: 150, installations: 30_000 };
-    let (first, st1) =
-        Study::run_streamed_stored(scale, 2016, 32, &path, false)
-            .expect("fresh stored run");
-    assert_eq!(st1.replayed_shards, 0);
-    assert_eq!(st1.computed_shards, 5, "ceil(150/32)");
-    assert_eq!(
-        st1.stored_shards, 5,
-        "a clean run persists every shard"
-    );
-    let (second, st2) = Study::run_streamed_stored(scale, 2016, 32, &path, true)
-        .expect("resumed run");
-    assert_eq!(st2.replayed_shards, 5, "everything replays");
-    assert_eq!(st2.computed_shards, 0);
-    assert_eq!(st2.replayed_packages, 150);
-    assert_data_identical(first.data(), second.data(), "stored-replay");
-    assert_metrics_bit_identical(first.data(), second.data(), "stored-replay");
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn torn_store_recomputes_only_the_lost_tail() {
-    let path = tmp_store("torn");
-    std::fs::remove_file(&path).ok();
-    let scale = Scale { packages: 150, installations: 30_000 };
-    let (first, _) = Study::run_streamed_stored(scale, 2016, 32, &path, false)
-        .expect("fresh stored run");
-    // Tear the file mid-record: the final shard loses its commit marker
-    // and must be recomputed; the earlier shards replay.
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
-    let (second, st) = Study::run_streamed_stored(scale, 2016, 32, &path, true)
-        .expect("resumed over torn store");
-    assert_eq!(st.replayed_shards, 4, "four shards survive the tear");
-    assert_eq!(st.computed_shards, 1, "the torn shard recomputes");
-    assert_eq!(st.stored_shards, 1, "and is re-persisted");
-    assert_data_identical(first.data(), second.data(), "torn-resume");
-    assert_metrics_bit_identical(first.data(), second.data(), "torn-resume");
-    // The store is whole again: a further resume replays everything.
-    let (_, st3) = Study::run_streamed_stored(scale, 2016, 32, &path, true)
-        .expect("second resume");
-    assert_eq!(st3.replayed_shards, 5);
-    std::fs::remove_file(&path).ok();
-}
-
 #[test]
 fn store_from_a_different_run_is_refused() {
     let path = tmp_store("fingerprint");
     std::fs::remove_file(&path).ok();
     let scale = Scale { packages: 150, installations: 30_000 };
-    Study::run_streamed_stored(scale, 2016, 32, &path, false)
-        .expect("fresh stored run");
+    let repo = |seed| SynthRepo::new(scale, CalibrationSpec::default(), seed);
+    let stored = |seed, shard_size, resume| {
+        let options = AnalysisOptions::default();
+        study_sharded_stored(&repo(seed), options, shard_size, None, &path, resume)
+    };
+    stored(2016, 32, false).expect("fresh stored run");
     // Different seed → different corpus fingerprint.
-    match Study::run_streamed_stored(scale, 2017, 32, &path, true) {
+    match stored(2017, 32, true) {
         Err(JournalError::FingerprintMismatch { .. }) => {}
         other => panic!("expected fingerprint mismatch, got {:?}", other.err()),
     }
     // Different shard geometry → different plan fingerprint (stored
     // shard boundaries would not line up with the resuming run's).
-    match Study::run_streamed_stored(scale, 2016, 64, &path, true) {
+    match stored(2016, 64, true) {
         Err(JournalError::FingerprintMismatch { .. }) => {}
         other => panic!("expected fingerprint mismatch, got {:?}", other.err()),
     }

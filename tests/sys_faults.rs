@@ -15,6 +15,7 @@
 //! serializes on one mutex.
 
 use std::net::SocketAddr;
+use std::path::Path;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -23,10 +24,10 @@ use apistudy::core::sysfault::{
 };
 use apistudy::core::{
     Client, ClientError, FrameError, Journal, JournalError, JournalRecord,
-    Request, Response, RetryPolicy, RunFingerprint, RunKind, ServeOptions,
-    Server, Study,
+    Request, Response, RetryPolicy, RunFingerprint, RunKind, RunOptions,
+    ServeOptions, Server, Shards, StoreStats, Study,
 };
-use apistudy::corpus::Scale;
+use apistudy::corpus::{CalibrationSpec, Scale, SynthRepo};
 
 /// The injector is process-global; every armed test holds this.
 static GATE: Mutex<()> = Mutex::new(());
@@ -40,6 +41,22 @@ fn gate() -> std::sync::MutexGuard<'static, ()> {
 
 fn small_study() -> Study {
     Study::run(Scale { packages: 120, installations: 20_000 }, 11)
+}
+
+/// A `shard`-package streamed study of `scale` with its store at `path`.
+fn stored_study(
+    scale: Scale,
+    seed: u64,
+    shard: usize,
+    path: &Path,
+    resume: bool,
+) -> Result<(Study, StoreStats), JournalError> {
+    let repo = SynthRepo::new(scale, CalibrationSpec::default(), seed);
+    let opts = RunOptions {
+        shards: Shards::Size(shard),
+        ..RunOptions::default()
+    };
+    Study::run_on(repo, &opts, Some((path, resume)))
 }
 
 fn serve_opts() -> ServeOptions {
@@ -462,14 +479,9 @@ fn store_enospc_mid_run_resumes_byte_identical() {
     let (seed, shard) = (2016u64, 32usize);
 
     let control_path = dir.join("control.apsf");
-    let (control_study, _) = Study::run_streamed_stored(
-        scale,
-        seed,
-        shard,
-        &control_path,
-        false,
-    )
-    .expect("control run");
+    let (control_study, _) =
+        stored_study(scale, seed, shard, &control_path, false)
+            .expect("control run");
     let control_bytes =
         std::fs::read(&control_path).expect("read control");
 
@@ -480,18 +492,15 @@ fn store_enospc_mid_run_resumes_byte_identical() {
         sysfault::install(
             SysFaultPlan::default().at_site("store.write", kind, 2),
         );
-        match Study::run_streamed_stored(scale, seed, shard, &path, false)
-        {
+        match stored_study(scale, seed, shard, &path, false) {
             Ok(_) => panic!("the injected append failure must surface"),
             Err(JournalError::Io(_)) => {}
             Err(other) => panic!("wrong class: {other}"),
         }
         sysfault::clear();
 
-        let (resumed_study, stats) = Study::run_streamed_stored(
-            scale, seed, shard, &path, true,
-        )
-        .expect("resume");
+        let (resumed_study, stats) =
+            stored_study(scale, seed, shard, &path, true).expect("resume");
         assert!(
             stats.replayed_shards >= 1,
             "resume must replay the durable shard"
