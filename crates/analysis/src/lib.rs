@@ -10,8 +10,10 @@
 //!   extraction;
 //! - [`linker::Linker`] — cross-binary resolution over `DT_NEEDED`
 //!   closures, replacing the paper's recursive SQL aggregation with an SCC
-//!   condensation of the global function graph;
-//! - [`facts::Footprint`] — the analysis output unit.
+//!   condensation of the global function graph over facts interned against
+//!   the catalog ([`intern`]);
+//! - [`facts::Footprint`] — the analysis output unit, and
+//!   [`api_footprint::ApiFootprint`], its catalog-resolved form.
 //!
 //! Like the paper, the analysis requires no source code and no execution:
 //! it recovers footprints purely from instruction bytes and ELF metadata,
@@ -20,10 +22,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod api_footprint;
 pub mod binary;
 pub mod facts;
+pub mod intern;
 pub mod linker;
 
+pub use api_footprint::ApiFootprint;
 pub use binary::{content_hash, AnalysisOptions, BinaryAnalysis, FuncInfo};
 pub use facts::Footprint;
 pub use linker::Linker;

@@ -2,6 +2,7 @@
 //! shadowing by search order, and dependency cycles between libraries.
 
 use apistudy_analysis::{BinaryAnalysis, Linker};
+use apistudy_catalog::Api;
 use apistudy_corpus::codegen::{
     generate_executable, generate_library, ExecSpec, ExportSpec, LibSpec,
 };
@@ -60,7 +61,7 @@ fn three_level_dependency_chain_resolves_transitively() {
     let e = exec(&["libA.so"], &["f"]);
     let fp = linker.resolve_executable(&e);
     for nr in [10, 20, 30] {
-        assert!(fp.syscalls.contains(&nr), "missing hop syscall {nr}");
+        assert!(fp.contains(Api::Syscall(nr)), "missing hop syscall {nr}");
     }
 }
 
@@ -77,13 +78,13 @@ fn needed_order_decides_symbol_shadowing() {
 
     let e1 = exec(&["libfirst.so", "libsecond.so"], &["shadowed"]);
     let fp = linker.resolve_executable(&e1);
-    assert!(fp.syscalls.contains(&100));
-    assert!(!fp.syscalls.contains(&200), "second lib must be shadowed");
+    assert!(fp.contains(Api::Syscall(100)));
+    assert!(!fp.contains(Api::Syscall(200)), "second lib must be shadowed");
 
     let e2 = exec(&["libsecond.so", "libfirst.so"], &["shadowed"]);
     let fp = linker.resolve_executable(&e2);
-    assert!(fp.syscalls.contains(&200));
-    assert!(!fp.syscalls.contains(&100));
+    assert!(fp.contains(Api::Syscall(200)));
+    assert!(!fp.contains(Api::Syscall(100)));
 }
 
 #[test]
@@ -97,8 +98,8 @@ fn library_dependency_cycles_terminate_and_union() {
     linker.seal();
     let f = linker.resolve_export("libX.so", "f").unwrap();
     let g = linker.resolve_export("libY.so", "g").unwrap();
-    assert_eq!(f.syscalls, g.syscalls, "SCC members share the closure");
-    assert!(f.syscalls.contains(&41) && f.syscalls.contains(&42));
+    assert_eq!(f, g, "SCC members share the closure");
+    assert!(f.contains(Api::Syscall(41)) && f.contains(Api::Syscall(42)));
 }
 
 #[test]
@@ -117,7 +118,7 @@ fn diamond_dependencies_resolve_once() {
     let e = exec(&["libl.so", "libr.so"], &["lf", "rf"]);
     let fp = linker.resolve_executable(&e);
     for nr in [1, 2, 77] {
-        assert!(fp.syscalls.contains(&nr));
+        assert!(fp.contains(Api::Syscall(nr)));
     }
 }
 
@@ -130,6 +131,6 @@ fn missing_transitive_library_degrades_gracefully() {
     linker.add_library("liba.so", a);
     linker.seal();
     let f = linker.resolve_export("liba.so", "f").unwrap();
-    assert!(f.syscalls.contains(&10));
-    assert!(f.imports.contains("ghost"), "unresolved import is recorded");
+    assert!(f.contains(Api::Syscall(10)));
+    assert_eq!(f.unresolved, 1, "unresolved import is recorded");
 }

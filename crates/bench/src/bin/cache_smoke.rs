@@ -1,13 +1,21 @@
 //! CI smoke gate for the incremental analysis cache.
 //!
-//! Runs the 11-point corruption sweep at 150 packages twice — once with
-//! the cache off (cold) and once with a shared in-memory cache (warm) —
-//! plus a single clean pipeline run for scale, taking the median of
-//! several repetitions of each. Prints the medians, appends them to
-//! `BENCH_pipeline.json` (keys `sweep_cold` / `sweep_cached`), and exits
-//! non-zero unless the cached sweep is at least [`MIN_SPEEDUP`]× faster
-//! than the cold one, so a regression that quietly disables the cache
-//! fails the job instead of just slowing it.
+//! Runs the 11-point corruption sweep at 150 packages with the cache off
+//! (cold) and through one shared in-memory cache (warm), plus a single
+//! clean pipeline run for scale. After one sweep warms the cache, cold
+//! and warm repetitions alternate, so drift on a shared machine lands on
+//! both sides, and each side reports its median. Prints the medians,
+//! appends them to `BENCH_pipeline.json` (keys `sweep_cold` /
+//! `sweep_cached`), and exits non-zero when either gate fails:
+//!
+//! - **Ledger** (exact): in every warm repetition, the binary cache
+//!   misses exactly the binaries the sweep skipped (a failed analysis is
+//!   never cached), every other binary lookup hits, and every resolved
+//!   footprint lookup hits. This is what the cache is for, and it does not
+//!   depend on machine speed.
+//! - **Speed-up**: the warm median is at least [`MIN_SPEEDUP`]× faster
+//!   than the cold one, so a regression that quietly disables the cache
+//!   fails the job instead of just slowing it.
 //!
 //! Usage: `cache_smoke [reps] [--no-json]` (reps defaults to 3).
 
@@ -19,8 +27,9 @@ use apistudy_core::{
     cache::{AnalysisCache, CacheMode},
     corruption_sweep,
     pipeline::StudyData,
+    DegradationPoint,
 };
-use apistudy_corpus::{CalibrationSpec, Scale, SynthRepo};
+use apistudy_corpus::{CalibrationSpec, PackageFile, Scale, SynthRepo};
 
 /// The gate: cached sweep must beat the cold sweep by at least this
 /// factor at 150 packages. The measured ratio is far higher (most of a
@@ -49,14 +58,30 @@ fn median(mut samples: Vec<u128>) -> u128 {
 }
 
 fn time_reps(reps: usize, mut f: impl FnMut()) -> u128 {
-    let samples = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    median(samples)
+    median((0..reps).map(|_| timed(&mut f).1).collect())
+}
+
+fn timed<T>(f: impl FnOnce() -> T) -> (T, u128) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_nanos())
+}
+
+/// The warm sweep's cache traffic, checked against what a steady-state
+/// cache must do: `None` when it balances, else what is off.
+fn ledger_error(
+    delta: (u64, u64, u64),
+    points: &[DegradationPoint],
+    lookups: u64,
+) -> Option<String> {
+    let (hits, misses, footprint_misses) = delta;
+    let skipped: u64 = points.iter().map(|p| u64::from(p.skipped_binaries)).sum();
+    (misses != skipped || hits + misses != lookups || footprint_misses != 0).then(|| {
+        format!(
+            "{hits} hits + {misses} misses over {lookups} binary lookups \
+             ({skipped} skipped binaries), {footprint_misses} footprint misses"
+        )
+    })
 }
 
 fn main() {
@@ -80,21 +105,41 @@ fn main() {
     let sweep = |cache: &AnalysisCache| {
         corruption_sweep(&repo, options, 0x5EED, &rates, cache, None)
             .expect("a sweep without a journal does no I/O")
+            .0
     };
+    // Every run of the sweep (the clean baseline, then each rate) looks
+    // every ELF file up once.
+    let elf_files = (0..repo.package_count())
+        .flat_map(|i| repo.package(i).files)
+        .filter(|f| matches!(f, PackageFile::Elf { .. }))
+        .count() as u64;
+    let lookups = (rates.len() as u64 + 1) * elf_files;
     let single = time_reps(reps, || {
         std::hint::black_box(StudyData::from_synth(&repo));
     });
-    let cold = time_reps(reps, || {
-        std::hint::black_box(sweep(&AnalysisCache::new(CacheMode::Off)));
-    });
-    // One cache across the repetitions: the first rep warms it, the
-    // median then measures the steady-state incremental sweep — the
-    // state every run after the first sees in `mem` mode, and every run
+    // One cache across the repetitions, warmed by a first sweep: the warm
+    // samples then measure the steady-state incremental sweep — the state
+    // every run after the first sees in `mem` mode, and every run
     // including the first sees in `disk` mode after one prior process.
     let cache = AnalysisCache::new(CacheMode::Mem);
-    let cached = time_reps(reps.max(2), || {
-        std::hint::black_box(sweep(&cache));
-    });
+    std::hint::black_box(sweep(&cache));
+    let (mut cold, mut cached) = (Vec::new(), Vec::new());
+    let mut ledger = None;
+    for _ in 0..reps {
+        let off = AnalysisCache::new(CacheMode::Off);
+        cold.push(timed(|| std::hint::black_box(sweep(&off))).1);
+        let before = cache.stats();
+        let (points, ns) = timed(|| sweep(&cache));
+        cached.push(ns);
+        let after = cache.stats();
+        let delta = (
+            after.hits - before.hits,
+            after.misses - before.misses,
+            after.footprint_misses - before.footprint_misses,
+        );
+        ledger = ledger.or(ledger_error(delta, &points, lookups));
+    }
+    let (cold, cached) = (median(cold), median(cached));
 
     let ms = |ns: u128| ns as f64 / 1e6;
     let speedup = cold as f64 / cached as f64;
@@ -114,6 +159,11 @@ fn main() {
         }
     }
 
+    if let Some(error) = ledger {
+        eprintln!("FAIL: the warm sweep's cache ledger is off: {error}");
+        std::process::exit(1);
+    }
+    println!("PASS: every warm sweep missed exactly its skipped binaries");
     if speedup < MIN_SPEEDUP {
         eprintln!(
             "FAIL: cached sweep only {speedup:.2}x faster than cold \

@@ -5,6 +5,7 @@
 //! uniformly; [`Api`] is the compact, copyable identifier used throughout
 //! footprints and the metrics engine.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::{
@@ -79,17 +80,26 @@ pub struct Catalog {
     pub pseudo_files: PseudoFileSet,
     /// The glibc 2.21 exported-symbol inventory.
     pub libc: LibcInventory,
+    /// `ioctl` request code → index into `ioctl_ops` (its first operation
+    /// with that code).
+    ioctl_codes: HashMap<u64, u32>,
 }
 
 impl Catalog {
     /// Builds the full Linux 3.19 catalog with the named pseudo-file
     /// inventory (no synthetic tail).
     pub fn linux_3_19() -> Self {
+        let ioctl_ops = ioctl_table();
+        let mut ioctl_codes = HashMap::with_capacity(ioctl_ops.len());
+        for (i, op) in ioctl_ops.iter().enumerate() {
+            ioctl_codes.entry(op.code).or_insert(i as u32);
+        }
         Self {
             syscalls: SyscallTable::new(),
-            ioctl_ops: ioctl_table(),
+            ioctl_ops,
             pseudo_files: PseudoFileSet::new(),
             libc: LibcInventory::glibc_2_21(),
+            ioctl_codes,
         }
     }
 
@@ -158,10 +168,7 @@ impl Catalog {
 
     /// The [`Api`] for an ioctl operation *code*, if defined.
     pub fn ioctl_by_code(&self, code: u64) -> Option<Api> {
-        self.ioctl_ops
-            .iter()
-            .position(|o| o.code == code)
-            .map(|i| Api::Ioctl(i as u32))
+        self.ioctl_codes.get(&code).map(|&i| Api::Ioctl(i))
     }
 
     /// The [`Api`] for an fcntl command code, if defined.
@@ -232,6 +239,10 @@ mod tests {
     fn code_lookups() {
         let c = Catalog::linux_3_19();
         assert_eq!(c.ioctl_by_code(0x5401), c.ioctl("TCGETS"));
+        for (i, op) in c.ioctl_ops.iter().enumerate() {
+            assert_eq!(c.ioctl_by_code(op.code), Some(Api::Ioctl(i as u32)));
+        }
+        assert_eq!(c.ioctl_by_code(0xDEAD_BEEF), None);
         assert!(c.fcntl_by_code(0).is_some());
         assert!(c.fcntl_by_code(9999).is_none());
         assert!(c.prctl_by_code(22).is_some());

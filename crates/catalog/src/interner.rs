@@ -150,6 +150,25 @@ impl ApiSet {
         Self { words: vec![0; ApiInterner::global().words()] }
     }
 
+    /// The set whose words are `words`: bit `id` of the word-packed
+    /// universe is the API [`ApiInterner::resolve`] maps `id` to (the
+    /// linker folds closed footprints as raw words and hands them over
+    /// here).
+    ///
+    /// # Panics
+    /// If `words` is not exactly [`ApiInterner::words`] long, or sets a
+    /// bit past the universe.
+    pub fn from_words(words: Vec<u64>) -> Self {
+        let interner = ApiInterner::global();
+        assert_eq!(words.len(), interner.words(), "one word per 64 APIs");
+        let spare = words.len() * 64 - interner.universe();
+        assert!(
+            spare == 0 || words[words.len() - 1] >> (64 - spare) == 0,
+            "bit past the interned universe"
+        );
+        Self { words }
+    }
+
     /// Adds an API; returns whether it was newly inserted.
     ///
     /// # Panics
@@ -373,6 +392,27 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert_eq!(a.intersection_len(&b), 1);
         assert!(a.insert(Api::Syscall(1)), "removal really cleared the bit");
+    }
+
+    #[test]
+    fn from_words_is_the_set_of_its_bits() {
+        let interner = ApiInterner::global();
+        let read = Api::Syscall(0);
+        let printf = Api::LibcSymbol(7);
+        let mut words = vec![0u64; interner.words()];
+        for api in [read, printf] {
+            let id = interner.intern(api).unwrap() as usize;
+            words[id / 64] |= 1 << (id % 64);
+        }
+        let set = ApiSet::from_words(words);
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![read, printf]);
+        assert_eq!(set, [printf, read].into_iter().collect());
+    }
+
+    #[test]
+    #[should_panic(expected = "one word per 64 APIs")]
+    fn from_words_refuses_a_short_row() {
+        ApiSet::from_words(vec![0; 1]);
     }
 
     #[test]

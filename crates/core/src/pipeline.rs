@@ -20,7 +20,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 
 use apistudy_analysis::{AnalysisOptions, BinaryAnalysis, Linker};
 use apistudy_catalog::Catalog;
@@ -238,7 +238,9 @@ const ITEM_DONE: u64 = u64::MAX;
 /// without `unsafe`), it merely stops being waited for; `f` is expected
 /// to terminate eventually (analysis work is budget-bounded), and the
 /// scope still joins its thread at the end. Which items get abandoned
-/// depends on machine speed, so the watchdog defaults to off.
+/// depends on machine speed, so the watchdog defaults to off. The monitor
+/// scans once per quarter deadline, and the worker that delivers the last
+/// result wakes it, so an armed call returns when its work does.
 pub(crate) fn par_map_indexed<T, F, R>(
     n: usize,
     deadline: Option<std::time::Duration>,
@@ -265,9 +267,13 @@ where
         (0..n).map(|_| AtomicU64::new(ITEM_IDLE)).collect();
     let epoch = std::time::Instant::now();
     let (tx, rx) = std::sync::mpsc::channel::<(usize, T)>();
+    // Rings once, when the last result is delivered; `wake` itself lives
+    // until the scope ends, so the monitor never sees it disconnect.
+    let (wake, woken) = std::sync::mpsc::channel::<()>();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
+            let wake = wake.clone();
             let cursor = &cursor;
             let panics = &panics;
             let recovered = &recovered;
@@ -311,7 +317,9 @@ where
                 if tx.send((i, value)).is_err() {
                     break;
                 }
-                sent.fetch_add(1, Ordering::Relaxed);
+                if sent.fetch_add(1, Ordering::Relaxed) + 1 == n {
+                    let _ = wake.send(());
+                }
             });
         }
         if let Some(deadline) = deadline {
@@ -324,7 +332,9 @@ where
             let limit = deadline.as_nanos() as u64;
             scope.spawn(move || {
                 while sent.load(Ordering::Relaxed) < n {
-                    std::thread::sleep(tick);
+                    if woken.recv_timeout(tick).is_ok() {
+                        continue;
+                    }
                     let now = epoch.elapsed().as_nanos() as u64;
                     for (i, state) in states.iter().enumerate() {
                         let s = state.load(Ordering::Acquire);
@@ -697,7 +707,7 @@ impl StudyData {
     }
 
     /// The per-shard stage of the pipeline: registers one shard's
-    /// libraries into a shard-local linker (seeded with the shared
+    /// libraries into a shard-local linker (extending the shared, closed
     /// system-library base for shards past the first), seals it, runs
     /// taint propagation and parallel per-package footprint resolution,
     /// and returns the mergeable [`crate::stream::ShardPartial`].
@@ -718,8 +728,6 @@ impl StudyData {
         shard: usize,
         start: usize,
     ) -> crate::stream::ShardPartial {
-        // Only a footprint-cache miss resolves against the catalog.
-        let catalog = LazyLock::new(Catalog::linux_3_19);
         let mut census = MixCensus::default();
         for inter in &inters {
             census.merge(&inter.census);
@@ -732,20 +740,17 @@ impl StudyData {
         // library the linker registered as index `i` — the footprint-cache
         // key derivation folds these over each executable's DT_NEEDED
         // closure.
-        let mut linker = Linker::new();
-        let mut lib_hashes: Vec<u64> = Vec::new();
+        let mut linker = match base {
+            Some(base) => Linker::over(Arc::clone(&base.linker)),
+            None => Linker::new(),
+        };
+        let mut lib_hashes: Vec<u64> =
+            base.map_or_else(Vec::new, |base| base.hashes.clone());
         let mut attributions: Vec<crate::stream::PackageAttribution> =
             Vec::with_capacity(inters.len());
         let mut unresolved_total = 0u64;
         let mut resolved_total = 0u64;
         let mut lib_names: Vec<Vec<String>> = Vec::with_capacity(inters.len());
-        if let Some(base) = base {
-            for (name, hash, ba) in &base.libs {
-                let idx = linker.add_library(name, Arc::clone(ba));
-                debug_assert_eq!(idx, lib_hashes.len());
-                lib_hashes.push(*hash);
-            }
-        }
         for inter in &mut inters {
             unresolved_total += u64::from(inter.unresolved);
             resolved_total += inter.resolved;
@@ -832,7 +837,7 @@ impl StudyData {
             [apistudy_corpus::libc_gen::LDSO_SONAME.to_owned()];
         let ldso_key = fp_cache.map(|(_, opts_fp)| {
             let mut acc = fold_hash(WHOLE_LIB_SEED, opts_fp);
-            for &li in &linker.needed_closure(&ldso_roots) {
+            for &li in linker.needed_closure(&ldso_roots).iter() {
                 acc = fold_hash(acc, lib_hashes[li]);
             }
             CacheKey { content: acc, options: opts_fp }
@@ -844,10 +849,9 @@ impl StudyData {
         let ldso_resolved = match cached_ldso {
             Some(fp) => (*fp).clone(),
             None => {
-                let raw = linker
+                let resolved = linker
                     .resolve_whole_library(apistudy_corpus::libc_gen::LDSO_SONAME)
                     .unwrap_or_default();
-                let resolved = ApiFootprint::resolve(&catalog, &raw);
                 if let (Some((c, _)), Some(key)) = (fp_cache, ldso_key) {
                     c.insert_footprint(key, Arc::new(resolved.clone()));
                 }
@@ -858,9 +862,8 @@ impl StudyData {
         // Per-package closed footprints. The sealed linker is read-only,
         // so every package resolves independently in parallel.
         let (packages, resolve_stats): (Vec<PackageRecord>, ParStats) = {
-            let (linker, catalog, ldso, inters, tainted, lib_names, lib_hashes) = (
+            let (linker, ldso, inters, tainted, lib_names, lib_hashes) = (
                 &linker,
-                &catalog,
                 &ldso_resolved,
                 &inters,
                 &tainted,
@@ -879,7 +882,7 @@ impl StudyData {
                     for (h, ba) in &inter.execs {
                         let key = fp_cache.map(|(_, opts_fp)| {
                             let mut acc = fold_hash(*h, opts_fp);
-                            for &li in &linker.needed_closure(&ba.needed) {
+                            for &li in linker.needed_closure(&ba.needed).iter() {
                                 acc = fold_hash(acc, lib_hashes[li]);
                             }
                             CacheKey { content: acc, options: opts_fp }
@@ -890,8 +893,7 @@ impl StudyData {
                                 continue;
                             }
                         }
-                        let raw = linker.resolve_executable(ba);
-                        let resolved = ApiFootprint::resolve(catalog, &raw);
+                        let resolved = linker.resolve_executable(ba);
                         if let (Some((c, _)), Some(key)) = (fp_cache, key) {
                             c.insert_footprint(key, Arc::new(resolved.clone()));
                         }
@@ -1342,6 +1344,24 @@ mod tests {
             |i| i,
             |_, _, _| usize::MAX,
         );
+        assert!(out.iter().enumerate().all(|(i, &v)| v == i));
+        assert_eq!(stats.deadline_quarantined, 0);
+    }
+
+    #[test]
+    fn an_armed_call_returns_when_its_work_does() {
+        use std::time::{Duration, Instant};
+        // A 30 s deadline ticks every 7.5 s; trivial items finish long
+        // before the first tick, and the last one wakes the watchdog.
+        let start = Instant::now();
+        let (out, stats) = par_map_indexed(
+            16,
+            Some(Duration::from_secs(30)),
+            |i| i,
+            |_, _, _| usize::MAX,
+        );
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "armed call took {took:?}");
         assert!(out.iter().enumerate().all(|(i, &v)| v == i));
         assert_eq!(stats.deadline_quarantined, 0);
     }

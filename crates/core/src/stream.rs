@@ -30,10 +30,11 @@
 //! Shard-locality is *sound*, not approximate: symbol resolution only
 //! ever searches an object's own `DT_NEEDED` closure, and every closure
 //! in the corpus is {system libraries} ∪ {the package's own libraries}.
-//! The four system libraries are analyzed once ([`SystemBase`]) and
-//! pre-registered into every shard's linker (except the first, where the
-//! `libc6` package ships them itself), so each executable resolves
-//! against exactly the libraries it would see in a whole-corpus linker.
+//! The four system libraries are analyzed, interned and closed once
+//! ([`SystemBase`]), and every shard's linker extends them (except the
+//! first's, where the `libc6` package ships them itself), so each
+//! executable resolves against exactly the libraries it would see in a
+//! whole-corpus linker.
 //! The in-memory path is this path run over one shard covering the
 //! corpus (shard size 0).
 //!
@@ -49,7 +50,7 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
-use apistudy_analysis::{AnalysisOptions, BinaryAnalysis};
+use apistudy_analysis::{AnalysisOptions, Linker};
 use apistudy_catalog::Catalog;
 use apistudy_corpus::{
     libc_gen, FaultPlan, FaultRecord, MixCensus, Package, SynthRepo,
@@ -160,22 +161,28 @@ pub struct ShardPartial {
 }
 
 /// The four system libraries (libc, the dynamic linker, libpthread,
-/// librt), analyzed once and shared — read-only — by every shard's
-/// linker. The shard containing `libc6` (always shard 0) does *not* use
-/// the base: that package ships the system libraries itself, and
-/// registering them twice would double-count.
+/// librt), analyzed, interned and closed once, and extended — read-only
+/// — by every shard's linker ([`Linker::over`]). The shard containing
+/// `libc6` (always shard 0) does *not* use the base: that package ships
+/// the system libraries itself, and registering them twice would
+/// double-count.
 pub(crate) struct SystemBase {
-    /// `(soname, content hash, analysis)` in generation order. The hash
-    /// is 0 when no cache is attached, mirroring
+    /// The system libraries, registered in generation order and sealed.
+    /// Its graph is condensed by the first shard that queries it, once
+    /// per run.
+    pub(crate) linker: Arc<Linker>,
+    /// Content hash per registered library, in registration order. The
+    /// hash is 0 when no cache is attached, mirroring
     /// [`analyze_package`](crate::pipeline)'s convention.
-    pub(crate) libs: Vec<(String, u64, Arc<BinaryAnalysis>)>,
+    pub(crate) hashes: Vec<u64>,
     /// System libraries whose analysis failed: they taint every shard,
     /// exactly as a skipped library taints dependents in-shard.
     pub(crate) tainted: Vec<String>,
 }
 
 /// Analyzes the system libraries once, consulting the cache when one is
-/// attached. Their syscall-site counts and diagnostics are *not*
+/// attached, and registers them into the sealed base linker. Their
+/// syscall-site counts and diagnostics are *not*
 /// recorded here — shard 0 analyzes the same bytes inside `libc6` and
 /// owns those counts, keeping corpus totals identical to the in-memory
 /// path.
@@ -184,14 +191,16 @@ fn system_base(
     cache: Option<(&AnalysisCache, u64)>,
 ) -> SystemBase {
     let catalog = Catalog::linux_3_19();
-    let mut libs = Vec::new();
+    let mut linker = Linker::new();
+    let mut hashes = Vec::new();
     let mut tainted = Vec::new();
     for (name, bytes) in libc_gen::generate_system_libraries(&catalog) {
         let key = cache.map(|(_, fp)| CacheKey::for_bytes(&bytes, fp));
         let hash = key.map_or(0, |k| k.content);
         if let (Some((c, _)), Some(key)) = (cache, key) {
             if let Some(ba) = c.get(key) {
-                libs.push((name, hash, ba));
+                linker.add_library(&name, ba);
+                hashes.push(hash);
                 continue;
             }
         }
@@ -203,12 +212,14 @@ fn system_base(
                         c.insert(key, Arc::clone(&ba));
                     }
                 }
-                libs.push((name, hash, ba));
+                linker.add_library(&name, ba);
+                hashes.push(hash);
             }
             (Err(_), _) => tainted.push(name),
         }
     }
-    SystemBase { libs, tainted }
+    linker.seal();
+    SystemBase { linker: Arc::new(linker), hashes, tainted }
 }
 
 /// Contiguous fixed-size shard ranges covering `0..package_count` (the

@@ -248,7 +248,8 @@ pub fn generate_system_libraries(catalog: &Catalog) -> Vec<(String, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apistudy_analysis::{BinaryAnalysis, Linker};
+    use apistudy_analysis::{ApiFootprint, BinaryAnalysis, Linker};
+    use apistudy_catalog::Api;
     use apistudy_elf::ElfFile;
 
     #[test]
@@ -273,21 +274,21 @@ mod tests {
         linker.seal();
 
         let open_fp = linker.resolve_export(LIBC_SONAME, "open").unwrap();
-        assert!(open_fp.syscalls.contains(&2)); // open
-        assert!(open_fp.syscalls.contains(&257)); // openat
+        assert!(open_fp.contains(Api::Syscall(2))); // open
+        assert!(open_fp.contains(Api::Syscall(257))); // openat
 
         let printf_fp = linker.resolve_export(LIBC_SONAME, "printf").unwrap();
-        assert!(printf_fp.syscalls.contains(&1), "printf reaches write");
+        assert!(printf_fp.contains(Api::Syscall(1)), "printf reaches write");
 
         let strlen_fp = linker.resolve_export(LIBC_SONAME, "strlen").unwrap();
-        assert!(strlen_fp.syscalls.is_empty(), "strlen is pure");
+        assert_eq!(strlen_fp, ApiFootprint::default(), "strlen is pure");
 
         let start = linker
             .resolve_export(LIBC_SONAME, "__libc_start_main")
             .unwrap();
-        assert!(start.syscalls.contains(&231), "exit_group at startup");
-        assert!(start.syscalls.contains(&56), "clone at startup");
-        assert!(!start.syscalls.contains(&21), "access is ld.so-only");
+        assert!(start.contains(Api::Syscall(231)), "exit_group at startup");
+        assert!(start.contains(Api::Syscall(56)), "clone at startup");
+        assert!(!start.contains(Api::Syscall(21)), "access is ld.so-only");
     }
 
     #[test]
@@ -301,7 +302,7 @@ mod tests {
         linker.seal();
         let glob_fp = linker.resolve_export(LIBC_SONAME, "glob").unwrap();
         let fnmatch_fp = linker.resolve_export(LIBC_SONAME, "fnmatch").unwrap();
-        assert_eq!(glob_fp.syscalls, fnmatch_fp.syscalls);
+        assert_eq!(glob_fp, fnmatch_fp);
     }
 
     #[test]

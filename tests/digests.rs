@@ -16,11 +16,19 @@
 //! every field of it, under three probe plans. Those constants were
 //! recorded while each filter was still interpreted once per syscall
 //! number, before the probe walked intervals of numbers instead.
+//!
+//! The study itself is pinned too: every resolved `PackageRecord`, the
+//! attribution index and the census, under the default options and under
+//! a decode budget of 50. Those constants were recorded while the linker
+//! still closed footprints by merging string sets, before it interned
+//! them; the digest is taken over one whole-corpus shard and over small
+//! shards (which link against the shared system-library base), and both
+//! must match.
 
 use apistudy::analysis::{AnalysisOptions, BinaryAnalysis, Footprint};
 use apistudy::core::{
-    synthesize_fleet, FleetOptions, FleetReport, JournalStats, StudyData,
-    UniqueFilterStats,
+    stream, synthesize_fleet, FleetOptions, FleetReport, JournalStats,
+    PackageRecord, RunOptions, Shards, StudyData, UniqueFilterStats,
 };
 use apistudy::corpus::{CalibrationSpec, PackageFile, Scale, SynthRepo};
 use apistudy::elf::{BinaryClass, ElfError, ElfFile};
@@ -45,6 +53,12 @@ const FLEETS: [(u32, bool, u64); 3] = [
     (4096, true, 0xb453_453e_9f2a_dc40),
     (4096, false, 0x0351_5b06_b23f_f481),
     (511, true, 0xad5e_2eaf_c1e7_7455),
+];
+
+/// Digest of the resolved study, per decode budget (`None` = the default).
+const STUDIES: [(Option<u64>, u64); 2] = [
+    (None, 0xf43d_e285_4a33_ac29),
+    (Some(50), 0x9c93_f769_e198_e894),
 ];
 
 /// 64-bit FNV-1a over length-prefixed little-endian fields.
@@ -153,6 +167,93 @@ impl Digest {
         }
         self.opt(ba.entry.map(|e| e as u64));
         self.u64(ba.instructions);
+    }
+
+    /// Every field of a record, destructured so that a new field fails to
+    /// compile here until it is hashed. APIs go in as interned ids, in
+    /// ascending order.
+    fn record(&mut self, rec: &PackageRecord) {
+        let PackageRecord {
+            name,
+            prob,
+            install_count,
+            depends,
+            footprint,
+            script_interpreters,
+            file_counts,
+            unresolved_syscall_sites,
+            skipped_binaries,
+            partial_footprint,
+        } = rec;
+        self.str(name);
+        self.u64(prob.to_bits());
+        self.u64(*install_count);
+        for names in [depends, script_interpreters] {
+            self.len(names.len());
+            for n in names {
+                self.str(n);
+            }
+        }
+        self.len(footprint.apis.len());
+        for id in footprint.apis.ids() {
+            self.u64(u64::from(id));
+        }
+        self.u64(u64::from(footprint.unresolved));
+        self.len(file_counts.0);
+        self.len(file_counts.1);
+        self.len(file_counts.2);
+        self.u64(u64::from(*unresolved_syscall_sites));
+        self.u64(u64::from(*skipped_binaries));
+        self.u64(u64::from(*partial_footprint));
+    }
+
+    /// The records, the attribution index (both maps in key order) and the
+    /// census (classes and interpreters in `Debug`-name order).
+    fn study(&mut self, data: &StudyData) {
+        self.len(data.packages.len());
+        for rec in &data.packages {
+            self.record(rec);
+        }
+        let mut users: Vec<_> = data.attribution.direct_users.iter().collect();
+        users.sort();
+        self.len(users.len());
+        for (&nr, files) in users {
+            self.u64(u64::from(nr));
+            self.len(files.len());
+            for f in files {
+                self.str(f);
+            }
+        }
+        let mut owners: Vec<_> = data.attribution.binary_package.iter().collect();
+        owners.sort();
+        self.len(owners.len());
+        for (file, package) in owners {
+            self.str(file);
+            self.str(package);
+        }
+        let census = &data.census;
+        let mut elf: Vec<(String, usize)> =
+            census.elf.iter().map(|(c, &n)| (format!("{c:?}"), n)).collect();
+        let mut scripts: Vec<(String, usize)> = census
+            .scripts
+            .iter()
+            .map(|(i, &n)| (format!("{i:?}"), n))
+            .collect();
+        elf.sort();
+        scripts.sort();
+        for counts in [&elf, &scripts] {
+            self.len(counts.len());
+            for (name, n) in counts {
+                self.str(name);
+                self.len(*n);
+            }
+        }
+        self.len(census.unparsable);
+        self.u64(data.total_installations);
+        self.u64(data.unresolved_syscall_sites);
+        self.u64(data.resolved_syscall_sites);
+        self.u64(data.diagnostics.analyzed_binaries);
+        self.len(data.diagnostics.skipped.len());
     }
 
     /// Every field of the report, destructured so that a new field fails
@@ -305,4 +406,44 @@ fn fleet_reports_match_their_golden_digests() {
         want.push(plan(opts, digest));
     }
     assert_eq!(got, want, "fleet reports moved");
+}
+
+#[test]
+fn study_records_match_their_golden_digest() {
+    let repo = reference_repo();
+    let mut got = Vec::new();
+    let mut want = Vec::new();
+    for (budget, digest) in STUDIES {
+        let analysis = match budget {
+            None => AnalysisOptions::default(),
+            Some(decode_budget) => AnalysisOptions {
+                decode_budget,
+                ..AnalysisOptions::default()
+            },
+        };
+        // One whole-corpus shard, then shards of 40 packages: every shard
+        // past the first links against the shared system-library base.
+        for shard_size in [0, 40] {
+            let opts = RunOptions {
+                analysis,
+                shards: Shards::Size(shard_size),
+                ..RunOptions::default()
+            };
+            let (data, _) = stream::run(&repo, &opts, None).expect("no store, no I/O");
+            assert_eq!(data.packages.len(), PACKAGES);
+            // The corpus exercises out-of-catalog counts, and the tight
+            // budget skipped binaries and partial footprints.
+            assert!(data.packages.iter().any(|r| r.footprint.unresolved > 0));
+            assert_eq!(
+                data.packages.iter().any(|r| r.partial_footprint),
+                budget.is_some()
+            );
+            let mut d = Digest::new();
+            d.study(&data);
+            let label = format!("budget {budget:?}, shard size {shard_size}");
+            got.push(format!("{label}: {}", hex(d.0)));
+            want.push(format!("{label}: {}", hex(digest)));
+        }
+    }
+    assert_eq!(got, want, "study records moved");
 }
