@@ -14,7 +14,7 @@
 //! the metrics closure cheap. Iteration order is identical to the
 //! `BTreeSet<Api>` representation this replaced.
 
-use apistudy_catalog::{Api, ApiKind, ApiSet};
+use apistudy_catalog::{Api, ApiInterner, ApiKind, ApiSet};
 
 /// A catalog-resolved API footprint.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -45,17 +45,22 @@ impl ApiFootprint {
         self.apis.union_with(&other.apis)
     }
 
-    /// Iterates the APIs of one kind.
+    /// Iterates the APIs of one kind, in order, reading only that kind's
+    /// segment of the set.
     pub fn of_kind(&self, kind: ApiKind) -> impl Iterator<Item = Api> + '_ {
-        self.apis.iter().filter(move |a| a.kind() == kind)
+        let interner = ApiInterner::global();
+        self.apis
+            .ids_in(interner.kind_bits(kind))
+            .map(move |id| interner.resolve(id))
     }
 
-    /// The syscall numbers in the footprint.
+    /// The syscall numbers in the footprint, ascending, read off the
+    /// syscall segment of the set (a syscall's bit is its number's offset
+    /// into that segment).
     pub fn syscalls(&self) -> impl Iterator<Item = u32> + '_ {
-        self.apis.iter().filter_map(|a| match a {
-            Api::Syscall(n) => Some(n),
-            _ => None,
-        })
+        let bits = ApiInterner::global().kind_bits(ApiKind::Syscall);
+        let base = bits.start;
+        self.apis.ids_in(bits).map(move |id| id - base)
     }
 
     /// Number of APIs.
@@ -172,6 +177,55 @@ mod tests {
         assert_eq!(syscalls, vec![0, 16]);
         assert_eq!(fp.of_kind(ApiKind::Ioctl).count(), 1);
         assert_eq!(fp.of_kind(ApiKind::LibcSymbol).count(), 1);
+        let empty = ApiFootprint::default();
+        assert_eq!(empty.syscalls().count(), 0);
+        assert_eq!(empty.of_kind(ApiKind::Syscall).count(), 0);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn kind_reads_match_the_filter_over_every_api(
+            ids in proptest::collection::btree_set(0u32..2600, 0..120),
+            keep_syscalls in proptest::prelude::any::<bool>(),
+        ) {
+            let interner = ApiInterner::global();
+            let fp = ApiFootprint {
+                apis: ids
+                    .iter()
+                    .filter(|&&id| (id as usize) < interner.universe())
+                    .map(|&id| interner.resolve(id))
+                    .filter(|a| keep_syscalls || a.kind() != ApiKind::Syscall)
+                    .collect(),
+                unresolved: 0,
+            };
+            let syscalls: Vec<u32> = fp
+                .apis
+                .iter()
+                .filter_map(|a| match a {
+                    Api::Syscall(n) => Some(n),
+                    _ => None,
+                })
+                .collect();
+            proptest::prop_assert_eq!(
+                fp.syscalls().collect::<Vec<_>>(),
+                syscalls
+            );
+            for kind in [
+                ApiKind::Syscall,
+                ApiKind::Ioctl,
+                ApiKind::Fcntl,
+                ApiKind::Prctl,
+                ApiKind::PseudoFile,
+                ApiKind::LibcSymbol,
+            ] {
+                let want: Vec<Api> =
+                    fp.apis.iter().filter(|a| a.kind() == kind).collect();
+                proptest::prop_assert_eq!(
+                    fp.of_kind(kind).collect::<Vec<_>>(),
+                    want
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,18 +1,26 @@
 //! CI smoke gate for fleet-scale seccomp synthesis.
 //!
 //! **Gate 1 — equivalence & depth** (150-package reference corpus):
-//! synthesizes every package's filter in both layouts and requires
+//! synthesizes every package's filter and requires
 //!
-//! - tree and linear verdicts bit-identical to the reference allow-set
-//!   for **every** syscall number in `0..=4096` (the fleet verifier),
+//! - tree verdicts bit-identical to the reference allow-set for
+//!   **every** syscall number in `0..=4096` (the fleet verifier),
 //! - every tree's executed depth within `2·⌈log₂ ranges⌉ + 8`,
 //! - the widest (most fragmented) footprint's tree at least
 //!   [`MIN_DEPTH_RATIO`]× shallower than its linear chain.
 //!
+//! The fleet computes the linear chain's length and depths in closed
+//! form; this gate builds the reference chain
+//! ([`BpfProgram::try_allow_list`]) for every unique filter, runs it on
+//! every nr in `0..=4096`, and requires its verdicts to match the
+//! allow-set and its length and depths to equal the report's.
+//!
 //! **Gate 2 — batch scale & crash resume** (`--packages N`, default
 //! 3000): a full batch synthesis must finish inside
-//! [`MAX_BATCH_SECS`]; then the gate re-execs itself as a child whose
-//! journaled run is killed mid-batch by `APISTUDY_JOURNAL_CRASH_AFTER`
+//! [`MAX_BATCH_SECS`]; its unique filters' reference chains are then
+//! checked as in gate 1, outside the timed section; then the gate
+//! re-execs itself as a child whose journaled run is killed mid-batch
+//! by `APISTUDY_JOURNAL_CRASH_AFTER`
 //! (a `std::process::abort` after half the appends), resumes the torn
 //! journal in-process, and requires the resumed report **bit-identical**
 //! to the uninterrupted control with every record either replayed or
@@ -35,9 +43,10 @@ use std::process::Command;
 use std::time::Instant;
 
 use apistudy_bench::{check_against_recorded, record, recorded, Bound};
+use apistudy_core::seccomp_bpf::{AUDIT_ARCH_X86_64, RET_ALLOW};
 use apistudy_core::{
-    synthesize_fleet, synthesize_fleet_journaled, FleetOptions, FleetReport,
-    Study,
+    run_filter_traced, synthesize_fleet, synthesize_fleet_journaled,
+    BpfProgram, FleetOptions, FleetReport, SeccompData, Study, StudyData,
 };
 use apistudy_corpus::Scale;
 
@@ -101,11 +110,84 @@ fn run_child(journal: &Path, packages: usize) -> ! {
     }
 }
 
+/// Builds the reference linear chain of every unique filter in `report`
+/// and runs it on every probed nr: its verdicts must match the allow-set,
+/// and its length and depths must equal the report's closed-form figures
+/// (a chain that cannot be built must be reported as overflowing). The
+/// filters are split across the machine's cores. Returns the number of
+/// chains built.
+fn check_reference_chains(data: &StudyData, report: &FleetReport) -> usize {
+    // The first package carrying each unique filter.
+    let mut first = vec![None; report.unique.len()];
+    for (i, &u) in report.package_unique.iter().enumerate() {
+        first[u as usize].get_or_insert(i);
+    }
+    let check = |u: usize| -> bool {
+        let stats = &report.unique[u];
+        let package = first[u].expect("every unique filter has a package");
+        let numbers: Vec<u32> =
+            data.packages[package].footprint.syscalls().collect();
+        let reported = (
+            stats.linear_len,
+            stats.linear_max_depth,
+            stats.linear_depth_total,
+        );
+        let Ok(chain) = BpfProgram::try_allow_list(&numbers) else {
+            assert_eq!(
+                reported,
+                (None, 0, 0),
+                "filter {:#018x}: the chain overflows, the report has it",
+                stats.allow_hash
+            );
+            return false;
+        };
+        let (mut max, mut total) = (0u32, 0u64);
+        for nr in 0..=report.probe_max_nr {
+            let data = SeccompData { nr, arch: AUDIT_ARCH_X86_64 };
+            let (verdict, steps) =
+                run_filter_traced(&chain, data).expect("well-formed chain");
+            assert_eq!(
+                verdict == RET_ALLOW,
+                numbers.binary_search(&nr).is_ok(),
+                "filter {:#018x}: the chain disagrees with its set at nr {nr}",
+                stats.allow_hash
+            );
+            max = max.max(steps);
+            total += u64::from(steps);
+        }
+        assert_eq!(
+            (Some(chain.len() as u32), max, total),
+            reported,
+            "filter {:#018x}: the built chain's length, max and summed depth \
+             differ from the report's",
+            stats.allow_hash
+        );
+        true
+    };
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let check = &check;
+                scope.spawn(move || {
+                    let mine = (w..report.unique.len()).step_by(workers);
+                    mine.filter(|&u| check(u)).count()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a reference chain check failed"))
+            .sum()
+    })
+}
+
 fn equivalence_gate() -> (u32, u32, f64) {
     let study = reference_study();
     let report = synthesize_fleet(study.data(), FleetOptions::default())
         .expect("reference fleet synthesis (includes 0..=4096 bit-verify)");
     assert!(report.verified);
+    let chains = check_reference_chains(study.data(), &report);
     for u in &report.unique {
         let bound = if u.ranges <= 1 {
             8
@@ -129,8 +211,9 @@ fn equivalence_gate() -> (u32, u32, f64) {
         f64::from(widest.linear_max_depth) / f64::from(widest.tree_max_depth);
     println!(
         "equivalence: {} packages, {} unique filters bit-verified for \
-         every nr 0..=4096; widest footprint ({} ranges) tree depth {} \
-         vs linear {} ({ratio:.1}x)",
+         every nr 0..=4096, {chains} reference chains equal to the \
+         report; widest footprint ({} ranges) tree depth {} vs linear {} \
+         ({ratio:.1}x)",
         report.packages,
         report.unique.len(),
         widest.ranges,
@@ -263,6 +346,11 @@ fn main() {
         "batch took {:.1}s, budget {MAX_BATCH_SECS}s",
         elapsed.as_secs_f64()
     );
+    let chains = check_reference_chains(study.data(), &control);
+    println!(
+        "batch reference: {chains} linear chains built, verdicts exact for \
+         every nr 0..=4096, length and depths equal to the report"
+    );
 
     let stats = crash_resume_gate(packages, &control);
     println!(
@@ -309,8 +397,9 @@ fn main() {
     }
 
     println!(
-        "PASS: tree == linear == reference for all nr 0..=4096; depth \
-         ratio >= {MIN_DEPTH_RATIO}; {packages}-package batch under \
-         {MAX_BATCH_SECS}s; crash resume bit-identical"
+        "PASS: tree == reference chain == allow-set for all nr 0..=4096; \
+         report == reference chain; depth ratio >= {MIN_DEPTH_RATIO}; \
+         {packages}-package batch under {MAX_BATCH_SECS}s; crash resume \
+         bit-identical"
     );
 }

@@ -9,6 +9,7 @@
 //! engine's dependency-closure fixed point run at memory bandwidth
 //! instead of `BTreeSet` node-chasing.
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use crate::api::{Api, ApiKind, Catalog};
@@ -96,6 +97,14 @@ impl ApiInterner {
         let slot = kind_slot(api.kind());
         let p = payload(api);
         (p < self.domains[slot]).then(|| self.bases[slot] + p)
+    }
+
+    /// The bit indices of `kind`'s APIs: one contiguous segment of the
+    /// universe, whose `i`-th bit is the API with payload `i` (so a
+    /// syscall's bit is its number).
+    pub fn kind_bits(&self, kind: ApiKind) -> Range<u32> {
+        let slot = kind_slot(kind);
+        self.bases[slot]..self.bases[slot] + self.domains[slot]
     }
 
     /// The API whose bit index is `id`.
@@ -255,18 +264,41 @@ impl ApiSet {
 
     /// Iterates the raw dense bit indices in ascending order.
     pub fn ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let bit = rest.trailing_zeros();
-                rest &= rest - 1;
-                Some(w as u32 * 64 + bit)
-            })
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| set_bits(w as u32 * 64, word))
+    }
+
+    /// Iterates the raw bit indices inside `bits` in ascending order,
+    /// reading only the words that range spans (one kind's segment,
+    /// [`ApiInterner::kind_bits`], is a few words of the whole set).
+    pub fn ids_in(&self, bits: Range<u32>) -> impl Iterator<Item = u32> + '_ {
+        let Range { start, end } = bits;
+        let last = (end as usize).div_ceil(64).min(self.words.len());
+        let first = (start as usize / 64).min(last);
+        let spanned = self.words[first..last].iter().zip(first..);
+        spanned.flat_map(move |(&word, w)| {
+            // Every spanned word starts below `end` and ends past `start`,
+            // so both shifts stay under 64.
+            let base = w as u32 * 64;
+            let below = start.saturating_sub(base);
+            let above = 64 - (end - base).min(64);
+            set_bits(base, word & (!0u64 << below) & (!0u64 >> above))
         })
     }
+}
+
+/// The indices of `word`'s set bits, ascending, offset by `base`.
+fn set_bits(base: u32, mut rest: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        if rest == 0 {
+            return None;
+        }
+        let bit = rest.trailing_zeros();
+        rest &= rest - 1;
+        Some(base + bit)
+    })
 }
 
 impl Extend<Api> for ApiSet {
@@ -413,6 +445,52 @@ mod tests {
     #[should_panic(expected = "one word per 64 APIs")]
     fn from_words_refuses_a_short_row() {
         ApiSet::from_words(vec![0; 1]);
+    }
+
+    #[test]
+    fn kind_bits_are_consecutive_segments_in_api_order() {
+        let interner = ApiInterner::global();
+        let kinds = [
+            ApiKind::Syscall,
+            ApiKind::Ioctl,
+            ApiKind::Fcntl,
+            ApiKind::Prctl,
+            ApiKind::PseudoFile,
+            ApiKind::LibcSymbol,
+        ];
+        let mut next = 0;
+        for kind in kinds {
+            let bits = interner.kind_bits(kind);
+            assert_eq!(bits.start, next, "{kind:?} follows the previous kind");
+            for id in [bits.start, bits.end - 1] {
+                assert_eq!(interner.resolve(id).kind(), kind);
+            }
+            next = bits.end;
+        }
+        assert_eq!(next as usize, interner.universe());
+        assert_eq!(interner.kind_bits(ApiKind::Syscall), 0..323);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn ids_in_is_ids_filtered_to_the_range(
+            ids in proptest::collection::btree_set(0u32..2600, 0..80),
+            start in 0u32..2700,
+            end in 0u32..2700,
+        ) {
+            let interner = ApiInterner::global();
+            let set: ApiSet = ids
+                .iter()
+                .filter(|&&id| (id as usize) < interner.universe())
+                .map(|&id| interner.resolve(id))
+                .collect();
+            let want: Vec<u32> =
+                set.ids().filter(|id| (start..end).contains(id)).collect();
+            proptest::prop_assert_eq!(
+                set.ids_in(start..end).collect::<Vec<_>>(),
+                want
+            );
+        }
     }
 
     #[test]

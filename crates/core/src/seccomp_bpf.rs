@@ -21,10 +21,15 @@
 //!   `BPF_MAXINSNS` (4096) fails, classified.
 //! - [`BpfProgram::try_allow_list`] — the legacy **linear chain**
 //!   (`jeq`/`jge`+`jgt` checks falling through to a shared KILL), kept as
-//!   the independently-written baseline that equivalence tests and the
-//!   fleet report compare the tree against. Pathologically fragmented
-//!   allow-lists overflow its 8-bit jump offsets, which is a classified
-//!   error.
+//!   the independently written reference that equivalence tests, the
+//!   smoke gate and the benches compare the tree against. Pathologically
+//!   fragmented allow-lists overflow its 8-bit jump offsets, which is a
+//!   classified error.
+//!
+//! The fleet report and the CLI still quote the chain's size and depth as
+//! the baseline the tree beats, but never build it: [`linear_profile`]
+//! computes both in closed form from the coalesced ranges, exactly what
+//! building the chain and probing it with [`depth_profile`] gives.
 //!
 //! The tree layout for ranges `r_0 < r_1 < … < r_{n-1}`:
 //!
@@ -97,7 +102,7 @@ impl BpfInsn {
 }
 
 /// Coalesces sorted, deduplicated syscall numbers into inclusive ranges.
-pub(crate) fn coalesce(numbers: &[u32]) -> Vec<(u32, u32)> {
+pub fn coalesce(numbers: &[u32]) -> Vec<(u32, u32)> {
     debug_assert!(
         numbers.windows(2).all(|w| w[0] < w[1]),
         "numbers must be sorted and unique"
@@ -192,15 +197,6 @@ impl BpfProgram {
         self.insns.iter().flat_map(|i| i.to_bytes()).collect()
     }
 
-    /// [`BpfProgram::try_allow_list`] for trusted input: panics if the
-    /// allow-list cannot be laid out (a jump span over 255 instructions).
-    /// Footprints decoded from disk or the wire must go through
-    /// `try_allow_list` instead, where the failure is a classified error.
-    pub fn allow_list(numbers: &[u32]) -> Self {
-        Self::try_allow_list(numbers)
-            .expect("filter fits classic BPF offsets")
-    }
-
     /// [`BpfProgram::try_allow_tree`] for trusted input: panics on the one
     /// remaining failure, a program genuinely over [`BPF_MAXINSNS`].
     pub fn allow_tree(numbers: &[u32]) -> Self {
@@ -216,7 +212,9 @@ impl BpfProgram {
     /// conditional offsets can express — the case a corrupt or hostile
     /// on-disk footprint could manufacture — which fails classified
     /// ([`FilterTooLarge::JumpSpan`]) instead of panicking. Production
-    /// callers should prefer [`BpfProgram::try_allow_tree`].
+    /// code never builds it: filters are [`BpfProgram::try_allow_tree`]
+    /// programs, and [`linear_profile`] gives the chain's figures. It is
+    /// the reference that tests, the smoke gate and the benches build.
     pub fn try_allow_list(numbers: &[u32]) -> Result<Self, FilterTooLarge> {
         let ranges = coalesce(numbers);
 
@@ -310,14 +308,21 @@ impl BpfProgram {
     /// ([`FilterTooLarge::ProgramLength`]), which takes ~800+ disjoint
     /// ranges.
     pub fn try_allow_tree(numbers: &[u32]) -> Result<Self, FilterTooLarge> {
-        let ranges = coalesce(numbers);
-        let mut insns = Vec::with_capacity(4 + tree_size(&ranges));
+        Self::try_tree_over(&coalesce(numbers))
+    }
+
+    /// [`BpfProgram::try_allow_tree`] over ranges already coalesced by
+    /// [`coalesce`].
+    pub(crate) fn try_tree_over(
+        ranges: &[(u32, u32)],
+    ) -> Result<Self, FilterTooLarge> {
+        let mut insns = Vec::with_capacity(4 + tree_size(ranges));
         // Architecture pinning: a local `ret KILL` keeps every jump short.
         insns.push(BpfInsn::new(LD_W_ABS, 0, 0, OFF_ARCH));
         insns.push(BpfInsn::new(JMP_JEQ_K, 1, 0, AUDIT_ARCH_X86_64));
         insns.push(BpfInsn::new(RET_K, 0, 0, RET_KILL));
         insns.push(BpfInsn::new(LD_W_ABS, 0, 0, OFF_NR));
-        emit_tree(&mut insns, &ranges);
+        emit_tree(&mut insns, ranges);
         if insns.len() > BPF_MAXINSNS {
             return Err(FilterTooLarge::ProgramLength { len: insns.len() });
         }
@@ -455,6 +460,98 @@ impl DepthProfile {
 /// `u32::MAX`, whose `2^32` probes do not fit [`DepthProfile::evals`].
 pub fn depth_profile(program: &BpfProgram, max_nr: u32) -> Option<DepthProfile> {
     probe_filter(program, max_nr, None).map(|probe| probe.profile)
+}
+
+/// The legacy linear chain over some ranges, as [`linear_profile`]
+/// computes it without building the program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinearChain {
+    /// Program length, in instructions.
+    pub len: u32,
+    /// Executed-instruction statistics over `0..=max_nr`.
+    pub profile: DepthProfile,
+}
+
+/// Instructions of the chain's check for one coalesced range: a `jeq` for
+/// a singleton, `jge lo` + `jgt hi` for a wider range.
+fn check_len(lo: u32, hi: u32) -> u32 {
+    if lo == hi {
+        1
+    } else {
+        2
+    }
+}
+
+/// What [`BpfProgram::try_allow_list`] and then [`depth_profile`] over
+/// `0..=max_nr` would give for the numbers whose coalesced `ranges` these
+/// are, in closed form: the chain's length and depth profile, or the same
+/// [`FilterTooLarge`] when its 8-bit jump offsets overflow.
+///
+/// The chain is a 3-instruction prologue (`ld arch`, `jeq`, `ld nr`), one
+/// check per range of `c_j` instructions ([`check_len`]), then `ret KILL`
+/// and `ret ALLOW`: `5 + Σ c_j` long. With `R` ranges and
+/// `P_k = Σ_{j<k} c_j`, a number above range `j` runs all `c_j` of its
+/// check and one below it only the first, so a number inside range `k`
+/// executes `4 + P_k + c_k` instructions, and one in the gap below range
+/// `k`, or past the last range (`k = R`), executes `4 + P_k + (R − k)`.
+/// The longest conditional hops are the first check's to ALLOW and the
+/// arch check's over every check to KILL, and the chain patches them in
+/// that order; once both fit 255, the program is at most 260 long, far
+/// under [`BPF_MAXINSNS`].
+///
+/// # Panics
+/// If the chain fits and `max_nr` is `u32::MAX`, whose `2^32` probes do
+/// not fit [`DepthProfile::evals`] (the fleet refuses that ceiling up
+/// front).
+pub fn linear_profile(
+    ranges: &[(u32, u32)],
+    max_nr: u32,
+) -> Result<LinearChain, FilterTooLarge> {
+    debug_assert!(
+        ranges.iter().all(|&(lo, hi)| lo <= hi)
+            && ranges
+                .windows(2)
+                .all(|w| u64::from(w[0].1) + 1 < u64::from(w[1].0)),
+        "ranges must be coalesced"
+    );
+    let checks: usize =
+        ranges.iter().map(|&(lo, hi)| check_len(lo, hi) as usize).sum();
+    // The first check's hop to ALLOW, then the arch check's hop to KILL,
+    // in the order the chain patches them; every later check hops less.
+    let first = ranges.first().map_or(0, |&(lo, hi)| check_len(lo, hi));
+    for span in [1 + checks - first as usize, 1 + checks] {
+        if span > usize::from(u8::MAX) {
+            return Err(FilterTooLarge::JumpSpan { span });
+        }
+    }
+    let evals = max_nr
+        .checked_add(1)
+        .expect("probe_max_nr + 1 probes fit DepthProfile::evals");
+    // Walk the intervals in number order, as half-open `[from, to)` over
+    // u64 so the last range may end at `u32::MAX`, clipped to the probes.
+    let end = u64::from(evals);
+    let (mut max, mut total) = (0u32, 0u64);
+    let mut account = |from: u64, to: u64, depth: u32| {
+        let to = to.min(end);
+        if from < to {
+            max = max.max(depth);
+            total += u64::from(depth) * (to - from);
+        }
+    };
+    let r = ranges.len() as u32;
+    let (mut passed, mut next) = (0u32, 0u64);
+    for (k, &(lo, hi)) in (0u32..).zip(ranges) {
+        let c = check_len(lo, hi);
+        account(next, u64::from(lo), 4 + passed + (r - k));
+        account(u64::from(lo), u64::from(hi) + 1, 4 + passed + c);
+        passed += c;
+        next = u64::from(hi) + 1;
+    }
+    account(next, end, 4 + passed);
+    Ok(LinearChain {
+        len: 5 + checks as u32,
+        profile: DepthProfile { max, total, evals },
+    })
 }
 
 /// What one pass of a filter over `0..=max_nr` found.
@@ -708,9 +805,14 @@ pub(crate) mod tests {
             == Some(RET_ALLOW)
     }
 
+    /// The reference chain for a set that fits its 8-bit offsets.
+    fn chain(numbers: &[u32]) -> BpfProgram {
+        BpfProgram::try_allow_list(numbers).expect("chain fits its offsets")
+    }
+
     /// Both layouts, so every behavioral test pins both generators.
     fn both(numbers: &[u32]) -> [BpfProgram; 2] {
-        [BpfProgram::allow_list(numbers), BpfProgram::allow_tree(numbers)]
+        [chain(numbers), BpfProgram::allow_tree(numbers)]
     }
 
     #[test]
@@ -977,6 +1079,129 @@ pub(crate) mod tests {
         }
     }
 
+    /// The chain built by [`BpfProgram::try_allow_list`] and probed over
+    /// `0..=max_nr`: what [`linear_profile`] must reproduce. The probe
+    /// also checks every verdict against the allow-set.
+    fn built_chain(
+        allow: &[u32],
+        max_nr: u32,
+    ) -> Result<LinearChain, FilterTooLarge> {
+        BpfProgram::try_allow_list(allow).map(|chain| {
+            let probe = probe_filter(&chain, max_nr, Some(allow))
+                .expect("the chain is well-formed");
+            assert_eq!(probe.first_mismatch, None, "the chain allows its set");
+            LinearChain { len: chain.len() as u32, profile: probe.profile }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn linear_profile_matches_the_probed_chain(
+            runs in proptest::collection::vec((0u32..4200, 0u32..48), 0..24),
+            singles in proptest::collection::btree_set(0u32..4200, 0..400),
+            max_nr in 0u32..4300,
+        ) {
+            // As in the walk's proptest: up to 400 singletons fragment the
+            // set past what the chain's 8-bit offsets can assemble.
+            let mut allow = singles;
+            for (lo, len) in runs {
+                allow.extend(lo..lo + len);
+            }
+            let allow: Vec<u32> = allow.into_iter().collect();
+            prop_assert_eq!(
+                linear_profile(&coalesce(&allow), max_nr),
+                built_chain(&allow, max_nr)
+            );
+        }
+    }
+
+    #[test]
+    fn the_walk_catches_a_wrong_or_malformed_reference_chain() {
+        // The chain's shared ALLOW turned into KILL disagrees first at 0;
+        // an unknown opcode makes the chain malformed.
+        let numbers = [0, 1, 2, 9, 14, 59, 60, 231];
+        let reference = chain(&numbers);
+        let mut wrong = reference.clone();
+        wrong.insns.last_mut().unwrap().k = RET_KILL;
+        let mut bad = reference.clone();
+        bad.insns[0].code = 0x07;
+        let first_mismatch = |p: &BpfProgram| {
+            probe_filter(p, 300, Some(&numbers)).map(|p| p.first_mismatch)
+        };
+        assert_eq!(first_mismatch(&reference), Some(None));
+        assert_eq!(first_mismatch(&wrong), Some(Some(0)));
+        assert_eq!(first_mismatch(&bad), None);
+        assert_eq!(probe_filter(&bad, 300, None), None);
+    }
+
+    #[test]
+    fn linear_profile_matches_the_built_chain_at_the_edges() {
+        // `n` singletons, so `n` checks, the first a singleton; and a
+        // two-number range followed by `n` singletons, so `n + 2` checks,
+        // the first a range.
+        let singles = |n: u32| (0..n).map(|i| 2 * i).collect::<Vec<u32>>();
+        let range_first = |n: u32| {
+            [0, 1].into_iter().chain((0..n).map(|i| 3 + 2 * i)).collect()
+        };
+        let mut sets: Vec<Vec<u32>> = vec![
+            vec![],
+            vec![0],
+            vec![322],
+            vec![0, 322],
+            vec![0, 1],
+            vec![321, 322],
+            vec![0, 1, 2, 322],
+            (5..=10).collect(),
+            (5..=15).collect(),
+            vec![10],
+            vec![11],
+            vec![2, 7, 8, 9, 20],
+            vec![u32::MAX],
+            vec![u32::MAX - 1, u32::MAX],
+        ];
+        // Right at and past the 8-bit overflow. The arch check hops
+        // 1 + checks; the first check hops `checks` with a singleton
+        // first, `checks - 1` with a range first, and the chain reports
+        // its overflow before the arch check's.
+        sets.extend([254, 255, 256].map(singles));
+        sets.extend([252, 253, 254, 255].map(range_first));
+        for allow in &sets {
+            for max_nr in [0, 1, 3, 10, 11, 322, 509, 4096, u32::MAX - 1] {
+                assert_eq!(
+                    linear_profile(&coalesce(allow), max_nr),
+                    built_chain(allow, max_nr),
+                    "max_nr {max_nr}, {} numbers from {:?}",
+                    allow.len(),
+                    allow.first()
+                );
+            }
+        }
+        let span = |allow: &[u32]| match linear_profile(&coalesce(allow), 4096)
+        {
+            Err(FilterTooLarge::JumpSpan { span }) => Some(span),
+            _ => None,
+        };
+        assert_eq!(span(&singles(254)), None);
+        assert_eq!(span(&singles(255)), Some(256));
+        assert_eq!(span(&singles(256)), Some(256));
+        assert_eq!(span(&range_first(252)), None);
+        assert_eq!(span(&range_first(253)), Some(256));
+        assert_eq!(span(&range_first(254)), Some(257));
+        assert_eq!(span(&range_first(255)), Some(256));
+        // The empty chain: prologue, then KILL, for every number.
+        let empty = linear_profile(&[], 322).expect("fits");
+        assert_eq!(empty.len, 5);
+        let profile = DepthProfile { max: 4, total: 4 * 323, evals: 323 };
+        assert_eq!(empty.profile, profile);
+    }
+
+    #[test]
+    #[should_panic(expected = "fit DepthProfile::evals")]
+    fn linear_profile_refuses_a_ceiling_whose_eval_count_overflows() {
+        let _ = linear_profile(&[(0, 2)], u32::MAX);
+    }
+
     #[test]
     fn walk_matches_the_reference_at_the_edges_of_the_number_space() {
         // One comparison, taken to ALLOW and falling through to KILL, with
@@ -1084,7 +1309,7 @@ pub(crate) mod tests {
 
     #[test]
     fn wire_format_is_8_bytes_per_insn() {
-        let p = BpfProgram::allow_list(&[0, 1]);
+        let p = chain(&[0, 1]);
         assert_eq!(p.to_bytes().len(), p.len() * 8);
         let first = p.insns[0].to_bytes();
         assert_eq!(u16::from_le_bytes([first[0], first[1]]), 0x20);

@@ -5,32 +5,37 @@
 //! using our framework"; this module does it for the *whole fleet* at
 //! once and measures what that buys:
 //!
-//! - **Batch synthesis** — every package's footprint becomes a
-//!   binary-search seccomp filter ([`BpfProgram::try_allow_tree`]),
-//!   emitted in parallel across the worker pool with the same panic
-//!   containment the analysis pipeline uses.
 //! - **Content-hash dedup** — many packages share a footprint (identical
 //!   allow-sets), so programs are built and measured once per *unique*
-//!   allow-set, keyed by [`allow_set_hash`].
+//!   allow-set, keyed by [`allow_set_hash`]. One serial pass in package
+//!   order reads each footprint's syscall bits into a reused buffer and
+//!   copies the numbers out only for a set it has not seen.
+//! - **Batch synthesis** — every unique allow-set becomes a binary-search
+//!   seccomp filter ([`BpfProgram::try_allow_tree`]), built and measured
+//!   in parallel across the worker pool with the same panic containment
+//!   the analysis pipeline uses.
 //! - **Shared-prefix factoring** — the unique programs are sorted by
 //!   their serialized instructions and adjacent longest-common-prefixes
 //!   measured: the instructions a prefix-sharing filter bank would store
 //!   once instead of per filter (every program shares at least the
 //!   4-instruction arch prologue).
-//! - **Eval-depth accounting** — each unique filter is probed over every
-//!   syscall number in `0..=probe_max_nr`, for both the production tree
-//!   layout and the legacy linear chain. The probe walks intervals of
+//! - **Eval-depth accounting** — each unique tree is probed over every
+//!   syscall number in `0..=probe_max_nr`. The probe walks intervals of
 //!   numbers that take the same path rather than interpreting one number
 //!   at a time, so its cost follows the coalesced ranges, not the size
-//!   of the number range. That one walk per layout gives exact max/avg
+//!   of the number range. That one walk gives exact max/avg
 //!   executed-instruction depths and, with [`FleetOptions::verify`],
-//!   bit-verified equivalence against the reference allow-set.
+//!   bit-verified equivalence against the reference allow-set. The
+//!   legacy linear chain the report compares against is never built:
+//!   [`linear_profile`] gives its length and depths in closed form.
 //! - **Crash-safe resume** — the measurements are journaled per unique
 //!   allow-set ([`JournalRecord::FleetFilter`]); a resumed run replays
-//!   them (cross-checked against the rebuilt programs) and recomputes
-//!   only what is missing, bit-identical to an uninterrupted run.
+//!   them (cross-checked against the rebuilt tree and the chain's
+//!   computed length) and recomputes only what is missing,
+//!   bit-identical to an uninterrupted run.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 use apistudy_analysis::AnalysisOptions;
@@ -44,7 +49,8 @@ use crate::journal::{
 };
 use crate::pipeline::{par_map_indexed, StudyData};
 use crate::seccomp_bpf::{
-    coalesce, probe_filter, BpfProgram, DepthProfile, FilterTooLarge,
+    coalesce, linear_profile, probe_filter, BpfProgram, DepthProfile,
+    FilterTooLarge,
 };
 
 /// Knobs of a fleet synthesis run. Folded into the journal fingerprint:
@@ -58,8 +64,9 @@ pub struct FleetOptions {
     /// ([`FleetError::ProbeRange`]): its `2^32` probes per filter do not
     /// fit the `u32` probe count.
     pub probe_max_nr: u32,
-    /// Interpreter-verify that tree and linear layouts agree with the
-    /// reference allow-set at every probed number.
+    /// Interpreter-verify that every tree filter agrees with its
+    /// reference allow-set at every probed number. The linear chain is
+    /// never built, so only the tree is verified.
     pub verify: bool,
 }
 
@@ -144,8 +151,8 @@ pub struct FleetReport {
     pub catalog_syscalls: u32,
     /// The probe ceiling the depth profiles used.
     pub probe_max_nr: u32,
-    /// Whether tree/linear/reference equivalence was interpreter-checked
-    /// for every fresh unique set.
+    /// Whether every fresh unique set's tree was interpreter-checked
+    /// against its allow-set.
     pub verified: bool,
     /// Journal replay/append accounting, when journaled.
     pub journal: Option<JournalStats>,
@@ -242,12 +249,12 @@ pub enum FleetError {
         /// The classified layout failure.
         err: FilterTooLarge,
     },
-    /// Tree, linear, and reference allow-set disagreed at a probed
+    /// A tree filter and its reference allow-set disagreed at a probed
     /// number — a code-generator bug, surfaced rather than shipped.
     Verification {
         /// The allow-set's content hash.
         allow_hash: u64,
-        /// The syscall number where the layouts disagreed.
+        /// The lowest syscall number where they disagreed.
         nr: u32,
     },
     /// A synthesis work item panicked deterministically.
@@ -302,38 +309,26 @@ fn probe_evals(opts: FleetOptions) -> Result<u32, FleetError> {
     })
 }
 
-/// Probes each layout over every probed nr: one walk per program gives
-/// its depth profile and, with [`FleetOptions::verify`], its first
-/// verdict that disagrees with the allow-set `numbers`. Errors keep a
-/// fixed order: a malformed tree, then a malformed linear chain, then a
-/// [`FleetError::Verification`] at the lowest disagreeing nr across both
-/// layouts.
-fn probe_layouts(
+/// Probes the tree over every probed nr: one walk gives its depth
+/// profile and, with [`FleetOptions::verify`], its first verdict that
+/// disagrees with the allow-set `numbers`. A malformed tree fails before
+/// any [`FleetError::Verification`].
+fn probe_tree(
     tree: &BpfProgram,
-    linear: Option<&BpfProgram>,
     numbers: &[u32],
     allow_hash: u64,
     opts: FleetOptions,
-) -> Result<(DepthProfile, Option<DepthProfile>), FleetError> {
+) -> Result<DepthProfile, FleetError> {
     let allow = opts.verify.then_some(numbers);
-    let probe = |program: &BpfProgram, layout: &str| {
-        probe_filter(program, opts.probe_max_nr, allow).ok_or_else(|| {
-            FleetError::Synthesis(format!(
-                "{layout} filter {allow_hash:#018x} is malformed"
-            ))
-        })
-    };
-    let tp = probe(tree, "tree")?;
-    let lp = linear.map(|p| probe(p, "linear")).transpose()?;
-    let mismatch = tp
-        .first_mismatch
-        .into_iter()
-        .chain(lp.and_then(|p| p.first_mismatch))
-        .min();
-    if let Some(nr) = mismatch {
-        return Err(FleetError::Verification { allow_hash, nr });
+    let probe = probe_filter(tree, opts.probe_max_nr, allow).ok_or_else(|| {
+        FleetError::Synthesis(format!(
+            "tree filter {allow_hash:#018x} is malformed"
+        ))
+    })?;
+    match probe.first_mismatch {
+        Some(nr) => Err(FleetError::Verification { allow_hash, nr }),
+        None => Ok(probe.profile),
     }
-    Ok((tp.profile, lp.map(|p| p.profile)))
 }
 
 /// Replayed measurements for one allow-set, decoded from the journal.
@@ -366,9 +361,9 @@ pub fn synthesize_fleet(
 /// journaled per unique allow-set under a [`RunKind::SeccompFleet`]
 /// fingerprint (corpus ⊕ analysis options ⊕ catalog ⊕ fleet options).
 /// With `resume`, a compatible journal's records are replayed —
-/// cross-checked against the rebuilt programs — and only missing sets
-/// are measured and appended; the report is bit-identical to an
-/// uninterrupted run.
+/// cross-checked against the rebuilt tree and the chain's computed
+/// length — and only missing sets are measured and appended; the report
+/// is bit-identical to an uninterrupted run.
 pub fn synthesize_fleet_journaled(
     data: &StudyData,
     repo: &SynthRepo,
@@ -437,72 +432,65 @@ fn synthesize_inner(
     let probe_evals = probe_evals(opts)?;
     let n = data.packages.len();
 
-    // Stage 1: every package's allow-set, in parallel. The work is a
-    // footprint scan — cheap, but 30k of them parallelize like the
-    // pipeline's other per-package stages.
-    let (allows, _) = par_map_indexed(
-        n,
-        None,
-        |i| {
-            let numbers: Vec<u32> =
-                data.packages[i].footprint.syscalls().collect();
-            let hash = allow_set_hash(&numbers);
-            Some((numbers, hash))
-        },
-        |_, _, _| None,
-    );
-
-    // Stage 2: dedup identical allow-sets by content hash, first-seen
-    // package order (deterministic whatever the worker schedule).
+    // Stage 1: dedup identical allow-sets by content hash, in one serial
+    // pass in package order. Each footprint's syscall numbers go through
+    // one reused buffer; only a first-seen set keeps a copy.
     let mut by_hash: HashMap<u64, u32> = HashMap::new();
     let mut sets: Vec<(Vec<u32>, u64)> = Vec::new();
     let mut first_member: Vec<usize> = Vec::new();
     let mut member_count: Vec<u32> = Vec::new();
     let mut member_mass: Vec<f64> = Vec::new();
-    let mut package_unique = vec![0u32; n];
-    for (i, slot) in allows.into_iter().enumerate() {
-        let Some((numbers, hash)) = slot else {
-            return Err(FleetError::Synthesis(format!(
+    let mut package_unique = Vec::with_capacity(n);
+    let mut numbers: Vec<u32> = Vec::new();
+    for (i, package) in data.packages.iter().enumerate() {
+        let hash = catch_unwind(AssertUnwindSafe(|| {
+            numbers.clear();
+            numbers.extend(package.footprint.syscalls());
+            allow_set_hash(&numbers)
+        }))
+        .map_err(|_| {
+            FleetError::Synthesis(format!(
                 "footprint scan of package {} panicked",
-                data.packages[i].name
-            )));
-        };
+                package.name
+            ))
+        })?;
         let u = *by_hash.entry(hash).or_insert_with(|| {
-            sets.push((numbers, hash));
+            sets.push((numbers.clone(), hash));
             first_member.push(i);
             member_count.push(0);
             member_mass.push(0.0);
             (sets.len() - 1) as u32
         });
         member_count[u as usize] += 1;
-        member_mass[u as usize] += data.packages[i].prob;
-        package_unique[i] = u;
+        member_mass[u as usize] += package.prob;
+        package_unique.push(u);
     }
 
-    // Stage 3: build + measure each unique set in parallel. Programs are
-    // always rebuilt (it lets a resume cross-check the journal); the
-    // probe of both layouts is skipped for replayed sets.
+    // Stage 2: build + measure each unique set in parallel. The tree is
+    // always rebuilt (it lets a resume cross-check the journal); its probe
+    // is skipped for replayed sets. The ranges are coalesced once, for the
+    // tree and the chain's closed form.
     let (measured, _) = par_map_indexed(
         sets.len(),
         None,
         |u| -> Result<Measured, FleetError> {
             let (numbers, hash) = &sets[u];
-            let tree = BpfProgram::try_allow_tree(numbers).map_err(|err| {
+            let ranges = coalesce(numbers);
+            let tree = BpfProgram::try_tree_over(&ranges).map_err(|err| {
                 FleetError::Filter {
                     package: data.packages[first_member[u]].name.clone(),
                     err,
                 }
             })?;
-            let linear = BpfProgram::try_allow_list(numbers).ok();
-            let ranges = coalesce(numbers).len() as u32;
+            let linear = linear_profile(&ranges, opts.probe_max_nr).ok();
             let base = UniqueFilterStats {
                 allow_hash: *hash,
                 syscalls: numbers.len() as u32,
-                ranges,
+                ranges: ranges.len() as u32,
                 packages: member_count[u],
                 mass: member_mass[u],
                 tree_len: tree.len() as u32,
-                linear_len: linear.as_ref().map(|p| p.len() as u32),
+                linear_len: linear.map(|l| l.len),
                 tree_max_depth: 0,
                 tree_depth_total: 0,
                 linear_max_depth: 0,
@@ -512,7 +500,8 @@ fn synthesize_inner(
                 replayed: false,
             };
             let stats = if let Some(rec) = replayed.get(hash) {
-                // Replay must describe the very programs we just rebuilt.
+                // Replay must describe the very tree we just rebuilt and
+                // the chain its ranges give.
                 if rec.tree_len != base.tree_len
                     || rec.linear_len != base.linear_len.unwrap_or(0)
                 {
@@ -535,18 +524,12 @@ fn synthesize_inner(
                     ..base
                 }
             } else {
-                let (tp, lp) = probe_layouts(
-                    &tree,
-                    linear.as_ref(),
-                    numbers,
-                    *hash,
-                    opts,
-                )?;
+                let tp = probe_tree(&tree, numbers, *hash, opts)?;
                 UniqueFilterStats {
                     tree_max_depth: tp.max,
                     tree_depth_total: tp.total,
-                    linear_max_depth: lp.map_or(0, |p| p.max),
-                    linear_depth_total: lp.map_or(0, |p| p.total),
+                    linear_max_depth: linear.map_or(0, |l| l.profile.max),
+                    linear_depth_total: linear.map_or(0, |l| l.profile.total),
                     ..base
                 }
             };
@@ -566,7 +549,7 @@ fn synthesize_inner(
         bank.push(m.tree_bytes);
     }
 
-    // Stage 4: journal every freshly measured set, in unique order, so a
+    // Stage 3: journal every freshly measured set, in unique order, so a
     // crash loses at most the records not yet appended and a resume
     // replays a prefix-closed subset.
     if let Some(journal) = journal.as_mut() {
@@ -586,7 +569,7 @@ fn synthesize_inner(
         }
     }
 
-    // Stage 5: shared-prefix factoring over the sorted filter bank — the
+    // Stage 4: shared-prefix factoring over the sorted filter bank — the
     // longest common instruction prefix between each program and its
     // sorted neighbor is what a prefix-sharing store keeps once.
     let mut order: Vec<usize> = (0..bank.len()).collect();
@@ -668,7 +651,6 @@ pub fn fleet_table(report: &FleetReport, top: usize) -> TextTable {
 mod tests {
     use super::*;
     use crate::seccomp_bpf::tests::two_pass;
-    use crate::seccomp_bpf::RET_KILL;
     use apistudy_corpus::{CalibrationSpec, Scale};
 
     fn small_study() -> (SynthRepo, StudyData) {
@@ -969,46 +951,38 @@ mod tests {
     }
 
     #[test]
-    fn layout_errors_come_tree_then_linear_then_lowest_mismatch() {
+    fn tree_errors_come_malformed_then_lowest_mismatch() {
         let numbers = [0, 1, 2, 9, 14, 59, 60, 231];
         let opts = FleetOptions { probe_max_nr: 300, verify: true };
         let tree = BpfProgram::allow_tree(&numbers);
-        let linear = BpfProgram::allow_list(&numbers);
-        let probe = |t: &BpfProgram, l: &BpfProgram, opts| {
-            probe_layouts(t, Some(l), &numbers, 7, opts)
-        };
-        let (tp, lp) = probe(&tree, &linear, opts).expect("both exact");
-        assert_eq!(lp.map(|p| p.evals), Some(tp.evals));
+        let probe = |t: &BpfProgram, opts| probe_tree(t, &numbers, 7, opts);
+        let tp = probe(&tree, opts).expect("exact");
+        assert_eq!(tp.evals, 301);
         // The tree's singleton leaf for 231 (after the `jge 231` pivot)
-        // tests 232 instead: it now disagrees first at 231. The chain's
-        // shared ALLOW becomes KILL: it disagrees first at 0.
+        // tests 232 instead: it now disagrees first at 231.
         let mut wrong_tree = tree.clone();
         let leaf =
             wrong_tree.insns.iter_mut().rev().find(|i| i.k == 231).unwrap();
         leaf.k = 232;
-        let mut wrong_linear = linear.clone();
-        wrong_linear.insns.last_mut().unwrap().k = RET_KILL;
         let mut bad_tree = tree.clone();
         bad_tree.insns[0].code = 0x07;
-        let mut bad_linear = linear.clone();
-        bad_linear.insns[0].code = 0x07;
-        let malformed = |r: Result<_, FleetError>, layout: &str| {
-            matches!(r, Err(FleetError::Synthesis(m)) if m.starts_with(layout))
+        let mut bad_wrong_tree = wrong_tree.clone();
+        bad_wrong_tree.insns[0].code = 0x07;
+        let malformed = |r: Result<_, FleetError>| {
+            matches!(r, Err(FleetError::Synthesis(m)) if m.starts_with("tree"))
         };
         let at = |r: Result<_, FleetError>| match r {
             Err(FleetError::Verification { allow_hash: 7, nr }) => Some(nr),
             _ => None,
         };
-        assert_eq!(at(probe(&wrong_tree, &linear, opts)), Some(231));
-        assert_eq!(at(probe(&tree, &wrong_linear, opts)), Some(0));
-        assert_eq!(at(probe(&wrong_tree, &wrong_linear, opts)), Some(0));
-        assert!(malformed(probe(&bad_tree, &bad_linear, opts), "tree"));
-        assert!(malformed(probe(&wrong_tree, &bad_linear, opts), "linear"));
-        assert!(malformed(probe(&bad_tree, &wrong_linear, opts), "tree"));
-        // Without verify a wrong program is only measured.
+        assert_eq!(at(probe(&wrong_tree, opts)), Some(231));
+        assert!(malformed(probe(&bad_tree, opts)));
+        assert!(malformed(probe(&bad_wrong_tree, opts)));
+        // Without verify a wrong tree is only measured; a malformed one
+        // still fails.
         let unverified = FleetOptions { verify: false, ..opts };
-        assert!(probe(&wrong_tree, &wrong_linear, unverified).is_ok());
-        assert!(malformed(probe(&tree, &bad_linear, unverified), "linear"));
+        assert!(probe(&wrong_tree, unverified).is_ok());
+        assert!(malformed(probe(&bad_tree, unverified)));
     }
 
     #[test]

@@ -98,7 +98,10 @@ use apistudy::core::{
     dataset::Dataset,
     footprints,
     planner::CompletenessCurve,
-    seccomp_bpf::{depth_profile, seccomp_filter, BpfProgram, AUDIT_ARCH_X86_64},
+    seccomp_bpf::{
+        coalesce, depth_profile, linear_profile, seccomp_filter,
+        AUDIT_ARCH_X86_64,
+    },
     serve::Rebuild,
     CacheMode, RunOptions, Shards, Study,
 };
@@ -606,18 +609,14 @@ fn main() {
                     .package(pkg)
                     .map(|p| p.footprint.syscalls().collect())
                     .unwrap_or_default();
-                match BpfProgram::try_allow_list(&numbers) {
-                    Ok(lin) => {
-                        let lp = depth_profile(&lin, 4096)
-                            .expect("generated filter is well-formed");
-                        eprintln!(
-                            "legacy linear chain: {} instructions, eval \
-                             depth max {} avg {:.1}",
-                            lin.len(),
-                            lp.max,
-                            lp.avg(),
-                        );
-                    }
+                match linear_profile(&coalesce(&numbers), 4096) {
+                    Ok(chain) => eprintln!(
+                        "legacy linear chain: {} instructions, eval depth \
+                         max {} avg {:.1}",
+                        chain.len,
+                        chain.profile.max,
+                        chain.profile.avg(),
+                    ),
                     Err(e) => eprintln!("legacy linear chain: {e}"),
                 }
             }
