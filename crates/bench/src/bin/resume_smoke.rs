@@ -3,12 +3,12 @@
 //! Reconstructs the exact on-disk state a `faults --journal` run leaves
 //! behind when it dies halfway through the 11-point corruption sweep at
 //! 150 packages — a write-ahead journal holding the baseline support set
-//! plus the first six sweep points, and a disk analysis cache warmed by
-//! exactly those points — then measures three runs:
+//! plus the first six sweep points — then measures three runs:
 //!
 //! - **cold**: the full sweep from nothing (no journal, cache off);
-//! - **resume**: the same sweep resumed from the half journal + half-warm
-//!   disk cache (replays 7 records, computes the 5-point tail);
+//! - **resume**: the same sweep resumed from the half journal on a fresh
+//!   in-memory cache, as a new `faults --resume` process has (replays 7
+//!   records, computes the 5-point tail);
 //! - **full replay**: resuming a complete journal (no corpus re-measured).
 //!
 //! Cold and resumed repetitions alternate, so drift on a shared machine
@@ -19,8 +19,9 @@
 //! - **Ledger** (exact): the journal replays 7 records and appends 5; the
 //!   analysis cache is looked up once per ELF file in each of the 5
 //!   computed runs and no more (nothing replayed is re-measured), and it
-//!   misses exactly as often as an in-memory cache warmed by the same
-//!   prefix does (the disk cache warm-starts whole);
+//!   misses exactly as often as an untimed resume of the same journal on
+//!   a fresh cache does (the first computed point starts on an empty
+//!   cache; a later one misses only the files its plan newly mutates);
 //! - **Bits**: every resumed point is bit-identical (f64 bit patterns
 //!   included) to the uninterrupted run, and so is the resumed journal;
 //! - **Speed-up**: the median resume beats the median cold sweep.
@@ -43,11 +44,10 @@ use apistudy_corpus::{CalibrationSpec, PackageFile, Scale, SynthRepo};
 
 /// The gate: resuming a half-completed sweep must beat the cold sweep by
 /// at least this factor. Resume skips the baseline pipeline and six of
-/// eleven points outright, and the tail points warm-start from the disk
-/// cache; a resume that recomputed everything would read about 1× (and
-/// break the ledger). On a 2-core VM the ratio reads 3.3–4.1× when the
-/// machine is quiet and 2.7–3.6× when it is loaded, so the bound has
-/// little headroom there.
+/// eleven points outright; the first tail point warms a fresh cache and
+/// the other four hit it; a resume that recomputed everything would
+/// read about 1× (and break the ledger). On a 2-core VM the ratio read
+/// 3.1–3.8× over ten runs, so the bound has little headroom there.
 const MIN_SPEEDUP: f64 = 3.0;
 
 /// Bytes before the first record: magic(4) + version(4) + kind(1) +
@@ -91,8 +91,8 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, u128) {
 /// A resumed sweep's ledger, checked against what an exact resume must
 /// do: `None` when it balances, else what is off. `lookups` is the
 /// binary lookups of the computed tail (one per ELF file per run), and
-/// `misses` the misses of the same tail over an in-memory cache warmed
-/// by the same prefix.
+/// `misses` the misses of an untimed resume of the same tail on a fresh
+/// cache.
 fn ledger_error(
     journal: &JournalStats,
     cache: &CacheStats,
@@ -125,17 +125,6 @@ fn truncate_journal(full: &Path, half: &Path, keep: usize) {
     }
     assert!(at < bytes.len(), "journal shorter than {keep} records");
     std::fs::write(half, &bytes[..at]).expect("write half journal");
-}
-
-/// Copies the flat shard-file directory `src` over a fresh `dst`.
-fn reset_dir_from(src: &Path, dst: &Path) {
-    let _ = std::fs::remove_dir_all(dst);
-    std::fs::create_dir_all(dst).expect("create cache dir");
-    for entry in std::fs::read_dir(src).expect("read cache snapshot") {
-        let entry = entry.expect("snapshot entry");
-        std::fs::copy(entry.path(), dst.join(entry.file_name()))
-            .expect("copy shard file");
-    }
 }
 
 fn assert_bit_identical(resumed: &[DegradationPoint], cold: &[DegradationPoint]) {
@@ -197,53 +186,42 @@ fn main() {
     let half_journal = root.join("half.journal");
     truncate_journal(&full_journal, &half_journal, 7);
 
-    // The disk cache an interrupted run leaves behind holds exactly the
-    // analyses of the baseline and the first six points — warm it with a
-    // sweep over that prefix, then snapshot it so every timed rep starts
-    // from the same bytes.
-    let cache_snapshot = root.join("cache-snapshot");
-    std::fs::create_dir_all(&cache_snapshot).expect("create snapshot dir");
-    let warm =
-        AnalysisCache::with_dir(CacheMode::Disk, cache_snapshot.clone());
-    corruption_sweep(&repo, options, FAULT_SEED, &rates[..7], &warm, None)
-        .expect("a sweep without a journal does no I/O");
-    warm.persist().expect("persist warm cache");
+    // Resumes `half_journal` from a fresh copy (resuming appends the
+    // tail, so reuse would quietly turn later reps into full replays) on
+    // a fresh in-memory cache, as a new `faults --resume` process does.
+    let work_journal = root.join("work.journal");
+    let resume_half = || {
+        std::fs::copy(&half_journal, &work_journal).expect("reset journal");
+        let cache = AnalysisCache::new(CacheMode::Mem);
+        let (points, journal) = corruption_sweep(
+            &repo,
+            options,
+            FAULT_SEED,
+            &rates,
+            &cache,
+            Some((&work_journal, true)),
+        )
+        .expect("resume half journal");
+        (points, journal, cache.stats())
+    };
 
-    // The ledger every resume must balance to, from the same crash state
-    // over an in-memory cache warmed by the same prefix (untimed): the 5
-    // computed runs look every ELF file up once each.
+    // The ledger every resume must balance to, from one untimed resume:
+    // the 5 computed runs look every ELF file up once each, and the
+    // misses are whatever a fresh cache misses over that tail.
     let elf_files = (0..repo.package_count())
         .flat_map(|i| repo.package(i).files)
         .filter(|f| matches!(f, PackageFile::Elf { .. }))
         .count() as u64;
     let lookups = 5 * elf_files;
     let want_misses = {
-        let mem = AnalysisCache::new(CacheMode::Mem);
-        corruption_sweep(&repo, options, FAULT_SEED, &rates[..7], &mem, None)
-            .expect("a sweep without a journal does no I/O");
-        let before = mem.stats();
-        let journal = root.join("mem.journal");
-        std::fs::copy(&half_journal, &journal).expect("copy half journal");
-        let (points, stats) = corruption_sweep(
-            &repo,
-            options,
-            FAULT_SEED,
-            &rates,
-            &mem,
-            Some((&journal, true)),
-        )
-        .expect("resume half journal in memory");
+        let (points, stats, cache) = resume_half();
         assert_bit_identical(&points, &reference);
         assert_eq!((stats.replayed, stats.appended), (7, 5));
-        let after = mem.stats();
-        let misses = after.misses - before.misses;
-        assert_eq!(after.hits - before.hits + misses, lookups);
-        misses
+        assert_eq!(cache.hits + cache.misses, lookups);
+        cache.misses
     };
 
     // --- Time the runs: cold and resumed alternate --------------------
-    let work_journal = root.join("work.journal");
-    let work_cache = root.join("cache-work");
     let (mut cold, mut resume) = (Vec::new(), Vec::new());
     let mut ledger = None;
     for _ in 0..reps {
@@ -253,26 +231,7 @@ fn main() {
                 .expect("a sweep without a journal does no I/O")
         };
         cold.push(timed(|| std::hint::black_box(sweep())).1);
-        let ((points, journal, cache), ns) = timed(|| {
-            // Fresh crash state every rep: resuming appends the tail to
-            // the journal and persists new analyses, so reuse would
-            // quietly turn later reps into full replays.
-            std::fs::copy(&half_journal, &work_journal)
-                .expect("reset journal");
-            reset_dir_from(&cache_snapshot, &work_cache);
-            let cache =
-                AnalysisCache::with_dir(CacheMode::Disk, work_cache.clone());
-            let (points, journal) = corruption_sweep(
-                &repo,
-                options,
-                FAULT_SEED,
-                &rates,
-                &cache,
-                Some((&work_journal, true)),
-            )
-            .expect("resume half journal");
-            (points, journal, cache.stats())
-        });
+        let ((points, journal, cache), ns) = timed(resume_half);
         resume.push(ns);
         ledger =
             ledger.or(ledger_error(&journal, &cache, lookups, want_misses));

@@ -20,11 +20,11 @@
 //! [`MAX_BATCH_SECS`]; its unique filters' reference chains are then
 //! checked as in gate 1, outside the timed section; then the gate
 //! re-execs itself as a child whose journaled run is killed mid-batch
-//! by `APISTUDY_JOURNAL_CRASH_AFTER`
-//! (a `std::process::abort` after half the appends), resumes the torn
-//! journal in-process, and requires the resumed report **bit-identical**
-//! to the uninterrupted control with every record either replayed or
-//! appended exactly once.
+//! by `APISTUDY_JOURNAL_CRASH_AFTER` (a `std::process::abort` once half
+//! the records are durable), resumes the torn journal in-process over
+//! the study the timed batch ran on, and requires the resumed report
+//! **bit-identical** to the uninterrupted control with every record
+//! either replayed or appended exactly once.
 //!
 //! Measured numbers land in BENCH_pipeline.json's `seccomp` section
 //! (suppress with `--no-json`).
@@ -91,8 +91,9 @@ fn strip(mut r: FleetReport) -> FleetReport {
     r
 }
 
-/// Child mode: run the journaled batch; the parent's
-/// `APISTUDY_JOURNAL_CRASH_AFTER` aborts this process mid-append.
+/// Child mode: build the study and run the journaled batch; the
+/// parent's `APISTUDY_JOURNAL_CRASH_AFTER` aborts this process
+/// mid-batch.
 fn run_child(journal: &Path, packages: usize) -> ! {
     let study = batch_study(packages);
     match synthesize_fleet_journaled(
@@ -227,7 +228,11 @@ fn equivalence_gate() -> (u32, u32, f64) {
     (report.max_tree_depth(), report.max_linear_depth(), ratio)
 }
 
+/// Crashes a child's journaled batch of `packages` mid-batch, then
+/// resumes its journal in-process over `study`, the same study the
+/// control batch ran on.
 fn crash_resume_gate(
+    study: &Study,
     packages: usize,
     control: &FleetReport,
 ) -> apistudy_core::JournalStats {
@@ -253,7 +258,6 @@ fn crash_resume_gate(
         "child was supposed to abort mid-batch, exited {status}"
     );
 
-    let study = batch_study(packages);
     let resumed = synthesize_fleet_journaled(
         study.data(),
         study.repo(),
@@ -352,7 +356,7 @@ fn main() {
          every nr 0..=4096, length and depths equal to the report"
     );
 
-    let stats = crash_resume_gate(packages, &control);
+    let stats = crash_resume_gate(&study, packages, &control);
     println!(
         "crash resume: abort mid-batch -> {} replayed + {} appended, \
          bit-identical",

@@ -76,11 +76,12 @@ pub struct DegradationPoint {
 ///
 /// With `journal = Some((path, resume))` the sweep runs under a
 /// write-ahead journal: the baseline's support set and every completed
-/// point are appended as they finish, a `Disk`-mode `cache` is persisted
-/// after each append (so a crash loses at most one point's analyses), and
-/// with `resume` the journaled prefix is replayed instead of recomputed.
-/// The returned points are bit-identical to an uninterrupted (or
-/// unjournaled) sweep:
+/// point are appended as they finish (so a crash loses at most the point
+/// in flight), and with `resume` the journaled prefix is replayed instead
+/// of recomputed. A resumed process starts on a fresh `cache`: the first
+/// point it computes warms it, and the points after that hit it as in an
+/// uninterrupted sweep. The returned points are bit-identical to an
+/// uninterrupted (or unjournaled) sweep:
 ///
 /// - replayed points carry the exact f64 bit patterns the original run
 ///   measured (the journal stores bits, never decimal);
@@ -92,8 +93,8 @@ pub struct DegradationPoint {
 ///   corpus, these [`AnalysisOptions`], this catalog, and this fault
 ///   plan (seed + rate grid + support-set size); any drift is refused.
 ///
-/// Without a journal the sweep appends nothing, persists nothing and
-/// computes no fingerprint; its [`JournalStats`] are zero.
+/// Without a journal the sweep appends nothing and computes no
+/// fingerprint; its [`JournalStats`] are zero.
 pub fn corruption_sweep(
     repo: &SynthRepo,
     options: AnalysisOptions,
@@ -105,11 +106,7 @@ pub fn corruption_sweep(
     let (mut journal, records) = match journal {
         Some((path, resume)) => {
             let fp = sweep_fingerprint(repo, options, fault_seed, rates);
-            let (journal, records) = if resume {
-                Journal::resume_or_create(path, &fp)?
-            } else {
-                (Journal::create(path, &fp)?, Vec::new())
-            };
+            let (journal, records) = Journal::open(path, &fp, resume)?;
             (Some(journal), records)
         }
         None => (None, Vec::new()),
@@ -154,7 +151,6 @@ pub fn corruption_sweep(
                 .collect();
             if let Some(journal) = &mut journal {
                 journal.append(&JournalRecord::SupportSet(numbers.clone()))?;
-                cache.persist()?;
             }
             numbers
         }
@@ -175,7 +171,6 @@ pub fn corruption_sweep(
         let point = measure(rate, &data, &unsupported);
         if let Some(journal) = &mut journal {
             journal.append(&JournalRecord::SweepPoint(point.clone()))?;
-            cache.persist()?;
         }
         points.push(point);
     }

@@ -293,7 +293,7 @@ impl<'m, 'a> CompletenessEngine<'m, 'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::footprint::ApiFootprint;
+    use apistudy_analysis::ApiFootprint;
     use crate::pipeline::{Attribution, PackageRecord, StudyData};
     use apistudy_catalog::Catalog;
     use apistudy_corpus::MixCensus;

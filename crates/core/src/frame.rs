@@ -1,5 +1,5 @@
-//! The one framing layer under the journal, the footprint store, the
-//! disk cache and the wire protocol.
+//! The one framing layer under the journal, the footprint store and the
+//! wire protocol.
 //!
 //! Every framed byte stream in this crate is a run of
 //! `len u32 | content_hash u64 | payload` frames, little-endian, and this
@@ -22,9 +22,7 @@
 //!
 //! The journal and the footprint store are record codecs on a [`Log`];
 //! the wire protocol frames with [`put_frame`] and [`scan`] under its
-//! own cap. The disk cache keeps its own entry layout (a u64 length, and
-//! the key outside the checksum so a damaged entry can be stepped over)
-//! but builds it from the same cursor, writers and atomic write.
+//! own cap.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;

@@ -19,10 +19,10 @@
 //!   so a journal either exists with a complete, checksummed header or
 //!   not at all;
 //! - **records** are frames (length prefix, 64-bit content checksum,
-//!   payload), written and fsynced one per append; a torn or truncated
-//!   tail (a crash mid-`write`) is recovered by keeping the longest
-//!   prefix of records that verify and decode and truncating the rest —
-//!   never a wrong record, never an aborted resume;
+//!   payload), written and fsynced one batch per append; a torn or
+//!   truncated tail (a crash mid-`write`) is recovered by keeping the
+//!   longest prefix of records that verify and decode and truncating the
+//!   rest — never a wrong record, never an aborted resume;
 //! - the header's fingerprint binds the journal to one exact run:
 //!   corpus identity, [`AnalysisOptions`](apistudy_analysis::AnalysisOptions)
 //!   fingerprint, catalog version, and the plan being executed (fault
@@ -32,9 +32,9 @@
 //!   incompatible results.
 //!
 //! The fail-point hook `APISTUDY_JOURNAL_CRASH_AFTER=<n>` aborts the
-//! process immediately after the `n`-th successful append — the
-//! crash-resume integration suite uses it to kill real subprocess sweeps
-//! at every interesting boundary.
+//! process immediately after the `n`-th record is durable (a batch is cut
+//! there) — the crash-resume integration suite uses it to kill real
+//! subprocess sweeps at every interesting boundary.
 
 use std::path::Path;
 
@@ -386,7 +386,7 @@ impl From<std::io::Error> for JournalError {
 pub struct Journal {
     log: Log,
     stats: JournalStats,
-    /// Fail-point: abort the process after this many successful appends
+    /// Fail-point: abort the process once this many records are durable
     /// (from `APISTUDY_JOURNAL_CRASH_AFTER`; test harness only).
     crash_after: Option<u64>,
 }
@@ -439,26 +439,37 @@ impl Journal {
         Ok((Self::with_log(log, replayed), records))
     }
 
-    /// Resumes when `path` holds a compatible journal, otherwise creates
-    /// a fresh one — the CLI's `--resume` semantics (a missing journal
-    /// starts a new run rather than failing). Header and fingerprint
-    /// *errors* still surface: silently overwriting a journal that
-    /// belongs to a different run would destroy resumable work.
-    pub fn resume_or_create(
+    /// Opens the journal of one run: with `resume`, resumes `path` when it
+    /// holds a journal and creates one when it does not (the CLI's
+    /// `--resume` semantics: a missing journal starts a new run);
+    /// without, creates a fresh one. Header and fingerprint *errors*
+    /// still surface: silently overwriting a journal that belongs to a
+    /// different run would destroy resumable work. Returns the journal
+    /// and the records it replayed.
+    pub fn open(
         path: &Path,
         fp: &RunFingerprint,
+        resume: bool,
     ) -> Result<(Self, Vec<JournalRecord>), JournalError> {
-        if path.exists() {
+        if resume && path.exists() {
             Journal::resume(path, fp)
         } else {
             Ok((Journal::create(path, fp)?, Vec::new()))
         }
     }
 
-    /// Appends one completed work unit: length prefix, checksum, payload,
-    /// written in a single `write_all` and fsynced before returning, so a
-    /// record either survives a crash whole or is discarded as a torn
-    /// tail on resume — never half-trusted.
+    /// Appends one completed work unit; see [`Journal::append_all`].
+    pub fn append(&mut self, rec: &JournalRecord) -> Result<(), JournalError> {
+        self.append_all(std::slice::from_ref(rec))
+    }
+
+    /// Appends completed work units as one batch: their frames (length
+    /// prefix, checksum, payload each) go out in a single `write_all` and
+    /// one fsync before returning, so each record either survives a crash
+    /// whole or is discarded with the torn tail on resume — never
+    /// half-trusted. Under the `APISTUDY_JOURNAL_CRASH_AFTER` fail-point
+    /// the batch is cut so the process aborts right after the `n`-th
+    /// record is durable.
     ///
     /// The write and fsync route through the fault-aware
     /// [`crate::sys::file_write_all`] / [`crate::sys::file_sync_data`]
@@ -469,11 +480,23 @@ impl Journal {
     /// [`JournalError::FailStop`] and recovery is a fresh
     /// [`Journal::resume`], which truncates back to the longest valid
     /// prefix.
-    pub fn append(&mut self, rec: &JournalRecord) -> Result<(), JournalError> {
-        let mut frame = Vec::new();
-        put_frame(&mut frame, &rec.encode());
-        self.log.append(&frame)?;
-        self.stats.appended += 1;
+    pub fn append_all(
+        &mut self,
+        recs: &[JournalRecord],
+    ) -> Result<(), JournalError> {
+        let take = self.crash_after.map_or(recs.len(), |n| {
+            let left = n.saturating_sub(self.stats.appended).max(1);
+            recs.len().min(left as usize)
+        });
+        if take == 0 {
+            return Ok(());
+        }
+        let mut frames = Vec::new();
+        for rec in &recs[..take] {
+            put_frame(&mut frames, &rec.encode());
+        }
+        self.log.append(&frames)?;
+        self.stats.appended += take as u64;
         if let Some(n) = self.crash_after {
             if self.stats.appended >= n {
                 eprintln!(
@@ -594,12 +617,31 @@ mod tests {
             Err(JournalError::FingerprintMismatch { .. }) => {}
             other => panic!("expected fingerprint mismatch, got {other:?}"),
         }
-        // resume_or_create must surface the mismatch too, not overwrite.
-        match Journal::resume_or_create(&path, &other) {
+        // A resuming open must surface the mismatch too, not overwrite.
+        match Journal::open(&path, &other, true) {
             Err(JournalError::FingerprintMismatch { .. }) => {}
             other => panic!("expected fingerprint mismatch, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_batch_writes_the_bytes_of_one_append_per_record() {
+        let (one, batch) = (tmp_path("one-by-one"), tmp_path("batch"));
+        let mut j = Journal::create(&one, &fp()).expect("create");
+        for rec in sample_records() {
+            j.append(&rec).expect("append");
+        }
+        let mut b = Journal::create(&batch, &fp()).expect("create");
+        b.append_all(&sample_records()).expect("append_all");
+        b.append_all(&[]).expect("an empty batch writes nothing");
+        assert_eq!(b.stats(), j.stats());
+        assert_eq!(
+            std::fs::read(&batch).unwrap(),
+            std::fs::read(&one).unwrap()
+        );
+        std::fs::remove_file(&one).ok();
+        std::fs::remove_file(&batch).ok();
     }
 
     #[test]

@@ -66,7 +66,6 @@ pub mod depgraph;
 pub mod diagnostics;
 pub mod diff;
 pub mod engine;
-pub mod footprint;
 pub mod footprints;
 mod frame;
 pub mod journal;
@@ -92,7 +91,7 @@ pub use depgraph::Condensation;
 pub use diagnostics::{RunDiagnostics, SkipStage, SkippedBinary};
 pub use diff::{ApiShift, StudyDiff};
 pub use engine::CompletenessEngine;
-pub use footprint::ApiFootprint;
+pub use apistudy_analysis::ApiFootprint;
 pub use footprints::{seccomp_profile, uniqueness, UniquenessStats};
 pub use journal::{
     catalog_fingerprint, corpus_fingerprint, Journal, JournalError,

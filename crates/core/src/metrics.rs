@@ -422,7 +422,7 @@ impl<'a> Metrics<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::footprint::ApiFootprint;
+    use apistudy_analysis::ApiFootprint;
     use apistudy_catalog::Catalog;
     use apistudy_corpus::MixCensus;
     use crate::pipeline::Attribution;

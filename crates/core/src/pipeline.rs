@@ -22,7 +22,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use apistudy_analysis::{AnalysisOptions, BinaryAnalysis, Linker};
+use apistudy_analysis::{AnalysisOptions, ApiFootprint, BinaryAnalysis, Linker};
 use apistudy_catalog::Catalog;
 use apistudy_corpus::{
     Interpreter, MixCensus, Package, PackageFile, SynthRepo,
@@ -31,7 +31,6 @@ use apistudy_elf::{BinaryClass, ElfError, ElfFile, ErrorKind};
 
 use crate::cache::{fold_hash, AnalysisCache, CacheKey};
 use crate::diagnostics::{RunDiagnostics, SkipStage, SkippedBinary};
-use crate::footprint::ApiFootprint;
 
 /// Everything the study knows about one package.
 #[derive(Debug, Clone, PartialEq)]

@@ -194,11 +194,7 @@ pub fn greedy_suggestions_journaled(
             h
         },
     };
-    let (mut journal, records) = if resume {
-        Journal::resume_or_create(journal_path, &fp)?
-    } else {
-        (Journal::create(journal_path, &fp)?, Vec::new())
-    };
+    let (mut journal, records) = Journal::open(journal_path, &fp, resume)?;
     let mut replay = Vec::with_capacity(records.len());
     for rec in records {
         match rec {

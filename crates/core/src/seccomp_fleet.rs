@@ -29,10 +29,10 @@
 //!   legacy linear chain the report compares against is never built:
 //!   [`linear_profile`] gives its length and depths in closed form.
 //! - **Crash-safe resume** — the measurements are journaled per unique
-//!   allow-set ([`JournalRecord::FleetFilter`]); a resumed run replays
-//!   them (cross-checked against the rebuilt tree and the chain's
-//!   computed length) and recomputes only what is missing,
-//!   bit-identical to an uninterrupted run.
+//!   allow-set ([`JournalRecord::FleetFilter`], one batch and one fsync
+//!   per run); a resumed run replays them (cross-checked against the
+//!   rebuilt tree and the chain's computed length) and recomputes only
+//!   what is missing, bit-identical to an uninterrupted run.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -383,11 +383,7 @@ pub fn synthesize_fleet_journaled(
             fold_hash(h, u64::from(opts.verify))
         },
     };
-    let (journal, records) = if resume {
-        Journal::resume_or_create(journal_path, &fp)?
-    } else {
-        (Journal::create(journal_path, &fp)?, Vec::new())
-    };
+    let (journal, records) = Journal::open(journal_path, &fp, resume)?;
     let mut replayed: HashMap<u64, ReplayedFilter> = HashMap::new();
     for rec in records {
         match rec {
@@ -549,15 +545,15 @@ fn synthesize_inner(
         bank.push(m.tree_bytes);
     }
 
-    // Stage 3: journal every freshly measured set, in unique order, so a
-    // crash loses at most the records not yet appended and a resume
-    // replays a prefix-closed subset.
+    // Stage 3: journal every freshly measured set, in unique order, as
+    // one batch (one write, one fsync): every set is measured by now, so
+    // a crash loses at most that batch and a resume replays a
+    // prefix-closed subset.
     if let Some(journal) = journal.as_mut() {
-        for u in &unique {
-            if u.replayed {
-                continue;
-            }
-            journal.append(&JournalRecord::FleetFilter {
+        let fresh: Vec<JournalRecord> = unique
+            .iter()
+            .filter(|u| !u.replayed)
+            .map(|u| JournalRecord::FleetFilter {
                 allow_hash: u.allow_hash,
                 tree_len: u.tree_len,
                 linear_len: u.linear_len.unwrap_or(0),
@@ -565,8 +561,9 @@ fn synthesize_inner(
                 tree_depth_total: u.tree_depth_total,
                 linear_max_depth: u.linear_max_depth,
                 linear_depth_total: u.linear_depth_total,
-            })?;
-        }
+            })
+            .collect();
+        journal.append_all(&fresh)?;
     }
 
     // Stage 4: shared-prefix factoring over the sorted filter bank — the

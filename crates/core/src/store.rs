@@ -31,12 +31,12 @@
 use std::collections::HashMap;
 use std::path::Path;
 
+use apistudy_analysis::ApiFootprint;
 use apistudy_catalog::{ApiInterner, ApiSet};
 use apistudy_corpus::{Interpreter, MixCensus};
 use apistudy_elf::BinaryClass;
 
 use crate::diagnostics::RunDiagnostics;
-use crate::footprint::ApiFootprint;
 use crate::frame::{
     put_count, put_frame, put_nr_list, put_string, put_u32, put_u64,
     Cursor, Log, LogFormat, Replay, MAX_RECORD,

@@ -1,7 +1,7 @@
 //! `apistudy` — command-line front end to the study.
 //!
 //! ```text
-//! apistudy [--scale test|medium|paper|N] [--seed N] [--cache off|mem|disk]
+//! apistudy [--scale test|medium|paper|N] [--seed N] [--cache off|mem]
 //!          [--threads N] [--shard N] [--store <path> [--resume]]
 //!          [--deadline-ms N] <command> [args]
 //!
@@ -62,8 +62,8 @@
 //!
 //! `--cache` (default: the `APISTUDY_CACHE` environment variable, then
 //! `mem`) selects the incremental analysis cache mode: `off` re-analyzes
-//! everything, `mem` shares results within the process, `disk` also
-//! warm-starts from and persists to `target/apistudy-cache/`.
+//! everything, `mem` shares results within the process. Across processes,
+//! `faults --journal … --resume` replays the finished sweep points instead.
 //!
 //! `--threads N` sets the pipeline worker count. Precedence: the flag
 //! wins over the `APISTUDY_THREADS` environment variable, which wins
@@ -110,7 +110,7 @@ use apistudy::corpus::{CalibrationSpec, Scale, SynthRepo};
 fn usage() -> ! {
     eprintln!(
         "usage: apistudy [--scale test|medium|paper|N] [--seed N]\n\
-         \x20              [--cache off|mem|disk] [--threads N]\n\
+         \x20              [--cache off|mem] [--threads N]\n\
          \x20              [--shard N] [--store <path> [--resume]]\n\
          \x20              [--deadline-ms N] <command>\n\
          \x20  --threads:     worker count (flag > APISTUDY_THREADS env > auto)\n\
@@ -698,13 +698,6 @@ fn main() {
                     "peak RSS: {:.1} MiB",
                     sweep_peak as f64 / 1024.0
                 );
-            }
-            match cache.persist() {
-                Ok(Some(path)) => {
-                    eprintln!("cache persisted to {}", path.display())
-                }
-                Ok(None) => {}
-                Err(e) => eprintln!("cache persist failed: {e}"),
             }
         }
         "serve" | "query" => unreachable!("handled before the match"),

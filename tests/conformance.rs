@@ -3,12 +3,12 @@
 //! the plain in-memory run, `StudyData::from_synth`.
 //!
 //! Axes: shard size (including one fold in shuffled order), a
-//! materialized corpus, the analysis cache (cold, warm in memory, warm
-//! from disk), the footprint store (fresh write, full replay, torn
-//! tail), and fault plans. Each cell is one call into the runner, and
-//! every cell is compared on what the study publishes: package records,
-//! census, attribution, site totals, the work ledger, and every
-//! syscall's importance and weighted completeness to the last bit.
+//! materialized corpus, the analysis cache (cold and warm), the
+//! footprint store (fresh write, full replay, torn tail), and fault
+//! plans. Each cell is one call into the runner, and every cell is
+//! compared on what the study publishes: package records, census,
+//! attribution, site totals, the work ledger, and every syscall's
+//! importance and weighted completeness to the last bit.
 //!
 //! Thread count is an axis too, but `par_map_indexed` reads its worker
 //! count from `APISTUDY_THREADS`, which one test process cannot change
@@ -234,7 +234,6 @@ fn materialized_corpus_matches_the_reference() {
 #[test]
 fn cache_states_match_the_reference() {
     let (repo, want) = reference(2016);
-    let dir = scratch("cache");
     for size in [0, 32] {
         let mem = AnalysisCache::new(CacheMode::Mem);
         for (state, warm) in [("mem-cold", false), ("mem-warm", true)] {
@@ -247,31 +246,7 @@ fn cache_states_match_the_reference() {
             assert_identical(want, &got, &what);
             assert_cache_ledger(&got, CacheMode::Mem, warm, &what);
         }
-
-        // Persisted by one cache, loaded by a fresh one.
-        let disk_dir = dir.join(format!("shard-{size}"));
-        let writer = AnalysisCache::with_dir(CacheMode::Disk, disk_dir.clone());
-        run(
-            repo,
-            &RunOptions {
-                cache: Some(&writer),
-                ..sharded(size)
-            },
-        );
-        writer.persist().expect("persist the disk cache");
-        let reader = AnalysisCache::with_dir(CacheMode::Disk, disk_dir);
-        let got = run(
-            repo,
-            &RunOptions {
-                cache: Some(&reader),
-                ..sharded(size)
-            },
-        );
-        let what = format!("disk-warm/shard {size}");
-        assert_identical(want, &got, &what);
-        assert_cache_ledger(&got, CacheMode::Disk, true, &what);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -21,20 +21,18 @@ fn scratch() -> PathBuf {
 fn run_faults(
     dir: &Path,
     journal: &str,
-    cache: &str,
     resume: bool,
     crash_after: Option<u32>,
 ) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_apistudy"));
-    cmd.args(["--scale", "150", "--seed", "2016", "--cache", "disk"]);
+    cmd.args(["--scale", "150", "--seed", "2016", "--cache", "mem"]);
     cmd.args(["faults", FAULT_SEED, "--journal"]);
     cmd.arg(dir.join(journal));
     if resume {
         cmd.arg("--resume");
     }
-    // Isolate from the developer's real cache and from any ambient
-    // fail-point or watchdog configuration.
-    cmd.env("APISTUDY_CACHE_DIR", dir.join(cache));
+    // Isolate from any ambient fail-point, watchdog or cache
+    // configuration.
     cmd.env_remove("APISTUDY_JOURNAL_CRASH_AFTER");
     cmd.env_remove("APISTUDY_ITEM_DEADLINE_MS");
     cmd.env_remove("APISTUDY_CACHE");
@@ -51,7 +49,7 @@ fn aborted_sweep_resumes_byte_identical_to_an_uninterrupted_run() {
     // Kill the run after four successful journal appends: the baseline
     // support set plus three sweep points are committed, the rest of the
     // sweep is lost with the process.
-    let crashed = run_faults(&dir, "sweep.journal", "cache", false, Some(4));
+    let crashed = run_faults(&dir, "sweep.journal", false, Some(4));
     assert!(
         !crashed.status.success(),
         "the fail-point must abort the process: {:?}",
@@ -61,9 +59,9 @@ fn aborted_sweep_resumes_byte_identical_to_an_uninterrupted_run() {
         .expect("the journal must survive the crash");
     assert!(!torn.is_empty());
 
-    // Resume finishes the sweep against the same journal and the disk
-    // cache the crashed run managed to persist.
-    let resumed = run_faults(&dir, "sweep.journal", "cache", true, None);
+    // Resume finishes the sweep against the same journal, on the fresh
+    // in-memory cache of a new process.
+    let resumed = run_faults(&dir, "sweep.journal", true, None);
     assert!(
         resumed.status.success(),
         "resume failed: {}",
@@ -76,8 +74,7 @@ fn aborted_sweep_resumes_byte_identical_to_an_uninterrupted_run() {
     );
 
     // The control: the same sweep, never interrupted, on fresh state.
-    let control =
-        run_faults(&dir, "control.journal", "cache-control", false, None);
+    let control = run_faults(&dir, "control.journal", false, None);
     assert!(
         control.status.success(),
         "control run failed: {}",

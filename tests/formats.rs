@@ -1,5 +1,5 @@
-//! Format pins: the journal, the footprint store, the wire protocol and
-//! the disk cache, each checked against a committed golden file.
+//! Format pins: the journal, the footprint store and the wire protocol,
+//! each checked against a committed golden file.
 //!
 //! The files under `tests/golden/` hold hand-built content (not corpus
 //! output, so they stay a few KB and never move when the generator
@@ -8,18 +8,14 @@
 //! temp dir and requires byte-identical output. A refactor that moves a
 //! single byte of an on-disk or on-wire format fails here.
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use apistudy::analysis::{BinaryAnalysis, Footprint, FuncInfo};
 use apistudy::catalog::{ApiInterner, ApiSet};
 use apistudy::core::{
-    encode_frame, scan_frame, AnalysisCache, ApiFootprint, CacheKey,
-    CacheMode, DegradationPoint, ErrorCode, FootprintStore, Journal,
-    JournalRecord, JournalStats, PackageAttribution, PackageRecord,
-    Request, Response, RunDiagnostics, RunFingerprint, RunKind,
-    ShardPartial, FRAME_HEADER,
+    encode_frame, scan_frame, ApiFootprint, DegradationPoint, ErrorCode,
+    FootprintStore, Journal, JournalRecord, JournalStats,
+    PackageAttribution, PackageRecord, Request, Response, RunDiagnostics,
+    RunFingerprint, RunKind, ShardPartial, FRAME_HEADER,
 };
 use apistudy::corpus::{Interpreter, MixCensus};
 use apistudy::elf::BinaryClass;
@@ -324,98 +320,4 @@ fn golden_response_frames_decode_and_reencode_byte_identical() {
         wire_bytes(wire_responses().iter().map(Response::encode)),
         want
     );
-}
-
-// ---------------------------------------------------------------------------
-// Disk cache: one shard file.
-// ---------------------------------------------------------------------------
-
-/// Both keys land in shard 0: the shard index is the low four bits of
-/// `content ^ options.rotate_left(1)`.
-fn cache_entries() -> Vec<(CacheKey, BinaryAnalysis)> {
-    let mut facts = Footprint::new();
-    facts.syscalls.extend([1, 2, 60]);
-    facts.ioctl_codes.insert(0x5401);
-    facts.fcntl_codes.insert(4);
-    facts.prctl_codes.insert(15);
-    facts.imports.insert("write".to_owned());
-    facts.paths.insert("/proc/self/maps".to_owned());
-    facts.unresolved_syscall_sites = 3;
-    facts.unresolved_vectored_sites = 1;
-    let exec = BinaryAnalysis {
-        class: BinaryClass::DynExec,
-        soname: None,
-        needed: vec!["libc.so.6".to_owned()],
-        funcs: vec![
-            FuncInfo {
-                name: "_start".to_owned(),
-                addr: 0x1000,
-                size: 32,
-                facts,
-                calls: [1].into_iter().collect(),
-            },
-            FuncInfo {
-                name: "helper".to_owned(),
-                addr: 0x1040,
-                size: 16,
-                facts: Footprint::new(),
-                calls: BTreeSet::new(),
-            },
-        ],
-        exports: [("helper".to_owned(), 1)].into_iter().collect(),
-        entry: Some(0),
-        instructions: 48,
-    };
-    let mut lib_facts = Footprint::new();
-    lib_facts.syscalls.extend([0, 1, 231]);
-    let lib = BinaryAnalysis {
-        class: BinaryClass::SharedLib,
-        soname: Some("libgold.so.1".to_owned()),
-        needed: vec![],
-        funcs: vec![FuncInfo {
-            name: "gold_write".to_owned(),
-            addr: 0x2000,
-            size: 64,
-            facts: lib_facts,
-            calls: BTreeSet::new(),
-        }],
-        exports: [("gold_write".to_owned(), 0)].into_iter().collect(),
-        entry: None,
-        instructions: 21,
-    };
-    vec![
-        (CacheKey { content: 0x10, options: 0 }, exec),
-        (
-            CacheKey { content: 0xA0, options: 0x1234_0000_0000_0000 },
-            lib,
-        ),
-    ]
-}
-
-const CACHE_SHARD_FILE: &str = "analysis-v2-shard-00.bin";
-
-fn write_cache(dir: &Path) -> Vec<u8> {
-    let cache = AnalysisCache::with_dir(CacheMode::Disk, dir.to_owned());
-    for (key, ba) in cache_entries() {
-        cache.insert(key, Arc::new(ba));
-    }
-    cache.persist().expect("persist").expect("disk mode");
-    std::fs::read(dir.join(CACHE_SHARD_FILE)).expect("read shard file")
-}
-
-#[test]
-fn golden_cache_shard_loads_and_rewrites_byte_identical() {
-    let want = golden("cache-shard.bin");
-    let dir = tmp_dir("cache");
-    std::fs::write(dir.join(CACHE_SHARD_FILE), &want).expect("stage golden");
-    let cache = AnalysisCache::with_dir(CacheMode::Disk, dir.clone());
-    for (key, ba) in cache_entries() {
-        let hit = cache.get(key).expect("golden entry loads");
-        assert_eq!(*hit, ba);
-    }
-    assert_eq!(cache.stats().entries, cache_entries().len());
-    let fresh = tmp_dir("cache-fresh");
-    assert_eq!(write_cache(&fresh), want);
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&fresh);
 }
